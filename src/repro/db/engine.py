@@ -12,11 +12,11 @@ the paper's sync-servlet rewrite had to avoid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.db.cost import CostModel, QueryCost, TableScale, ZERO_COST
 from repro.db.errors import LockError, SqlError
-from repro.db.executor import ExecStats, SelectExecutor, run_delete, run_update
+from repro.db.executor import ExecStats, compile_dml, compile_select
 from repro.db.exprs import Resolver, compile_expr
 from repro.db.planner import Planner
 from repro.db.schema import IndexDef, TableSchema
@@ -72,15 +72,35 @@ class Session:
         self.scope = scope
 
 
+# Statement kinds that need no plan, by AST node type.
+_PLANLESS_KINDS = {
+    n.LockTables: "lock", n.UnlockTables: "unlock",
+    n.CreateTable: "create_table", n.CreateIndex: "create_index",
+    n.DropTable: "drop_table", n.DropIndex: "drop_index",
+    n.Transaction: "txn",
+}
+# DDL invalidates the plan cache, so it is never cached itself.
+_DDL_KINDS = ("create_table", "create_index", "drop_table", "drop_index")
+
+
 @dataclass
 class _Prepared:
-    """A parsed + planned statement, cached by SQL text."""
+    """A parsed, planned and compiled statement, cached by SQL text.
+
+    SELECT/UPDATE/DELETE carry ``run(params) -> (rows, ExecStats)``
+    plus the tables they read and write: the lock check needs both, and
+    the cost model prices against the scale of the tables read.
+    """
 
     ast: object
     kind: str
     plan: object = None
+    run: Optional[Callable] = None
     insert_fns: Optional[list] = None
     param_count: int = 0
+    columns: tuple = ()
+    reads: tuple = ()
+    writes: tuple = ()
 
 
 class Database:
@@ -141,79 +161,53 @@ class Database:
             table.insert(row)
         return len(rows)
 
-    def scale_context(self) -> Dict[str, TableScale]:
-        """Per-table scaling context for the cost model."""
-        ctx: Dict[str, TableScale] = {}
-        for name, table in self.tables.items():
-            stats = table.schema.stats
-            ctx[name] = TableScale(nominal=stats.nominal_rows,
-                                   loaded=len(table),
-                                   distinct=stats.distinct_values)
-        return ctx
-
     def open_session(self) -> Session:
         return Session(scope=self.name)
 
     # -- statement preparation ------------------------------------------------------
 
+    def _plan(self, ast):
+        if isinstance(ast, n.Select):
+            return self._planner.plan_select(ast)
+        if isinstance(ast, n.Update):
+            return self._planner.plan_update(ast)
+        if isinstance(ast, n.Delete):
+            return self._planner.plan_delete(ast)
+        raise SqlError("EXPLAIN supports SELECT/UPDATE/DELETE only")
+
     def _prepare(self, sql: str) -> _Prepared:
+        """Parse, plan and compile ``sql`` once; later calls hit the cache."""
         prepared = self._plan_cache.get(sql)
         if prepared is not None:
             return prepared
         ast, param_count = parse(sql)
+        prepared = _Prepared(ast=ast, kind="", param_count=param_count)
         if isinstance(ast, n.Select):
-            prepared = _Prepared(ast=ast, kind="select",
-                                 plan=self._planner.plan_select(ast),
-                                 param_count=param_count)
-        elif isinstance(ast, n.Update):
-            prepared = _Prepared(ast=ast, kind="update",
-                                 plan=self._planner.plan_update(ast),
-                                 param_count=param_count)
-        elif isinstance(ast, n.Delete):
-            prepared = _Prepared(ast=ast, kind="delete",
-                                 plan=self._planner.plan_delete(ast),
-                                 param_count=param_count)
+            plan = prepared.plan = self._plan(ast)
+            prepared.kind = "select"
+            prepared.run = compile_select(plan)
+            prepared.columns = tuple(plan.output_names)
+            prepared.reads = plan.tables_read
+        elif isinstance(ast, (n.Update, n.Delete)):
+            plan = prepared.plan = self._plan(ast)
+            prepared.kind = "update" if isinstance(ast, n.Update) \
+                else "delete"
+            prepared.run = compile_dml(prepared.kind, plan)
+            prepared.reads = prepared.writes = (ast.table,)
         elif isinstance(ast, n.Insert):
             table = self.table(ast.table)
             resolver = Resolver({ast.table: table})
-            fns = [compile_expr(v, resolver) for v in ast.values]
-            prepared = _Prepared(ast=ast, kind="insert", insert_fns=fns,
-                                 param_count=param_count)
-        elif isinstance(ast, n.LockTables):
-            prepared = _Prepared(ast=ast, kind="lock", param_count=param_count)
-        elif isinstance(ast, n.UnlockTables):
-            prepared = _Prepared(ast=ast, kind="unlock", param_count=param_count)
-        elif isinstance(ast, n.CreateTable):
-            prepared = _Prepared(ast=ast, kind="create_table",
-                                 param_count=param_count)
-        elif isinstance(ast, n.CreateIndex):
-            prepared = _Prepared(ast=ast, kind="create_index",
-                                 param_count=param_count)
-        elif isinstance(ast, n.DropTable):
-            prepared = _Prepared(ast=ast, kind="drop_table",
-                                 param_count=param_count)
-        elif isinstance(ast, n.DropIndex):
-            prepared = _Prepared(ast=ast, kind="drop_index",
-                                 param_count=param_count)
-        elif isinstance(ast, n.Transaction):
-            prepared = _Prepared(ast=ast, kind="txn", param_count=param_count)
+            prepared.kind = "insert"
+            prepared.insert_fns = [compile_expr(v, resolver)
+                                   for v in ast.values]
         elif isinstance(ast, n.Explain):
-            inner = ast.inner
-            if isinstance(inner, n.Select):
-                plan = self._planner.plan_select(inner)
-            elif isinstance(inner, n.Update):
-                plan = self._planner.plan_update(inner)
-            elif isinstance(inner, n.Delete):
-                plan = self._planner.plan_delete(inner)
-            else:
-                raise SqlError("EXPLAIN supports SELECT/UPDATE/DELETE only")
-            prepared = _Prepared(ast=ast, kind="explain", plan=plan,
-                                 param_count=param_count)
+            prepared.kind = "explain"
+            prepared.plan = self._plan(ast.inner)
+        elif type(ast) in _PLANLESS_KINDS:
+            prepared.kind = _PLANLESS_KINDS[type(ast)]
         else:  # pragma: no cover - parser covers the statement space
             raise SqlError(f"unsupported statement: {sql!r}")
-        # DDL invalidates the cache, so only cache DML/queries.
-        if prepared.kind not in ("create_table", "create_index",
-                                 "drop_table", "drop_index"):
+        if prepared.kind not in _DDL_KINDS:
             self._plan_cache[sql] = prepared
         return prepared
 
@@ -282,65 +276,37 @@ class Database:
         self.queries_executed += 1
         session = session or self._ephemeral
         kind = prepared.kind
-        if kind == "select":
-            return self._run_select(prepared, params, session)
+        if prepared.run is not None:
+            self._check_locks(session, prepared.reads, prepared.writes)
+            rows, stats = prepared.run(params)
+            scales = {name: _table_scale(self.tables[name])
+                      for name in prepared.reads}
+            cost = self.cost_model.price(
+                stats, scales, result_bytes=_estimate_result_bytes(rows))
+            return ResultSet(columns=list(prepared.columns), rows=rows,
+                             stats=stats, cost=cost, kind=kind,
+                             last_insert_id=session.last_insert_id)
         if kind == "insert":
             return self._run_insert(prepared, params, session)
-        if kind == "update":
-            self._check_locks(session, (prepared.ast.table,),
-                              (prepared.ast.table,))
-            stats = run_update(prepared.plan, params)
-            cost = self.cost_model.price(stats, self.scale_context())
-            return ResultSet(stats=stats, cost=cost, kind="update",
-                             last_insert_id=session.last_insert_id)
-        if kind == "delete":
-            self._check_locks(session, (prepared.ast.table,),
-                              (prepared.ast.table,))
-            stats = run_delete(prepared.plan, params)
-            cost = self.cost_model.price(stats, self.scale_context())
-            return ResultSet(stats=stats, cost=cost, kind="delete",
-                             last_insert_id=session.last_insert_id)
-        if kind == "lock":
-            self.lock_tables(session, prepared.ast.locks)
-            cost = self.cost_model.price(
-                ExecStats(), self.scale_context(), lock_statements=1)
-            return ResultSet(kind="lock", cost=cost)
-        if kind == "unlock":
-            self.unlock_tables(session)
-            cost = self.cost_model.price(
-                ExecStats(), self.scale_context(), lock_statements=1)
-            return ResultSet(kind="unlock", cost=cost)
+        if kind in ("lock", "unlock"):
+            if kind == "lock":
+                self.lock_tables(session, prepared.ast.locks)
+            else:
+                self.unlock_tables(session)
+            cost = self.cost_model.price(ExecStats(), {}, lock_statements=1)
+            return ResultSet(kind=kind, cost=cost)
         if kind == "create_table":
             self.create_table(prepared.ast.schema)
-            return ResultSet(kind="create_table")
-        if kind == "create_index":
+        elif kind == "create_index":
             self.create_index(prepared.ast.table, prepared.ast.index)
-            return ResultSet(kind="create_index")
-        if kind == "drop_table":
+        elif kind == "drop_table":
             self.drop_table(prepared.ast.name)
-            return ResultSet(kind="drop_table")
-        if kind == "drop_index":
+        elif kind == "drop_index":
             self.drop_index(prepared.ast.table, prepared.ast.name)
-            return ResultSet(kind="drop_index")
-        if kind == "txn":
-            # MyISAM: BEGIN/COMMIT/ROLLBACK are accepted no-ops.
-            return ResultSet(kind="txn")
-        if kind == "explain":
+        elif kind == "explain":
             return self._run_explain(prepared)
-        raise SqlError(f"unsupported statement kind {kind!r}")  # pragma: no cover
-
-    def _run_select(self, prepared: _Prepared, params: tuple,
-                    session: Session) -> ResultSet:
-        plan = prepared.plan
-        self._check_locks(session, plan.tables_read, ())
-        executor = SelectExecutor(plan, params)
-        rows = executor.run()
-        result_bytes = _estimate_result_bytes(rows)
-        cost = self.cost_model.price(executor.stats, self.scale_context(),
-                                     result_bytes=result_bytes)
-        return ResultSet(columns=list(plan.output_names), rows=rows,
-                         stats=executor.stats, cost=cost, kind="select",
-                         last_insert_id=session.last_insert_id)
+        # BEGIN/COMMIT/ROLLBACK (MyISAM: accepted no-ops) fall through.
+        return ResultSet(kind=kind)
 
     def _run_insert(self, prepared: _Prepared, params: tuple,
                     session: Session) -> ResultSet:
@@ -362,10 +328,9 @@ class Database:
         if table.schema.auto_increment:
             pk_pos = table.column_pos(table.schema.primary_key)
             session.last_insert_id = table.get_row(rowid)[pk_pos]
-        cost = self.cost_model.price(stats, self.scale_context())
+        cost = self.cost_model.price(stats, {})
         return ResultSet(stats=stats, cost=cost, kind="insert",
                          last_insert_id=session.last_insert_id)
-
 
     def _run_explain(self, prepared: _Prepared) -> ResultSet:
         """Describe the chosen access plan, one row per table access."""
@@ -389,6 +354,12 @@ class Database:
         return ResultSet(
             columns=["alias", "table", "access", "index", "notes"],
             rows=rows, kind="explain")
+
+
+def _table_scale(table: Table) -> TableScale:
+    stats = table.schema.stats
+    return TableScale(nominal=stats.nominal_rows, loaded=len(table),
+                      distinct=stats.distinct_values)
 
 
 def _estimate_result_bytes(rows: List[tuple]) -> int:

@@ -17,12 +17,21 @@ from typing import Callable, Dict, Optional
 from repro.db.errors import SqlError
 from repro.db.sql import nodes as n
 
+
+def _divide(left, right):
+    """MySQL semantics: division by zero is NULL, not an error."""
+    return left / right if right else None
+
+
 _ARITH = {
     "+": operator.add,
     "-": operator.sub,
     "*": operator.mul,
-    "/": operator.truediv,
+    "/": _divide,
 }
+
+# env key under which a grouped row carries its finalized aggregate values.
+AGGREGATES = "#aggregates"
 
 _CMP = {
     "=": operator.eq,
@@ -77,8 +86,14 @@ class Resolver:
         return hits[0]
 
 
-def compile_expr(expr, resolver: Resolver) -> Callable:
-    """Compile to ``fn(env, params) -> value``."""
+def compile_expr(expr, resolver: Resolver,
+                 aggregates: Optional[list] = None) -> Callable:
+    """Compile to ``fn(env, params) -> value``.
+
+    With an ``aggregates`` list, each distinct Aggregate node is appended
+    to it (once) and compiles to a read of its slot in
+    ``env[AGGREGATES]``; without one, aggregates are an error.
+    """
     if isinstance(expr, n.Literal):
         value = expr.value
         return lambda env, params: value
@@ -89,8 +104,8 @@ def compile_expr(expr, resolver: Resolver) -> Callable:
         alias, pos = resolver.resolve(expr)
         return lambda env, params: env[alias][pos]
     if isinstance(expr, n.BinaryOp):
-        left = compile_expr(expr.left, resolver)
-        right = compile_expr(expr.right, resolver)
+        left = compile_expr(expr.left, resolver, aggregates)
+        right = compile_expr(expr.right, resolver, aggregates)
         if expr.op in _ARITH:
             fn = _ARITH[expr.op]
 
@@ -111,21 +126,28 @@ def compile_expr(expr, resolver: Resolver) -> Callable:
             return fn(lv, rv)
         return compare
     if isinstance(expr, n.BoolOp):
-        compiled = [compile_expr(op, resolver) for op in expr.operands]
+        compiled = [compile_expr(op, resolver, aggregates)
+                    for op in expr.operands]
         if expr.op == "AND":
             def conj(env, params):
-                return all(fn(env, params) for fn in compiled)
+                for fn in compiled:
+                    if not fn(env, params):
+                        return False
+                return True
             return conj
 
         def disj(env, params):
-            return any(fn(env, params) for fn in compiled)
+            for fn in compiled:
+                if fn(env, params):
+                    return True
+            return False
         return disj
     if isinstance(expr, n.NotOp):
-        inner = compile_expr(expr.operand, resolver)
+        inner = compile_expr(expr.operand, resolver, aggregates)
         return lambda env, params: not inner(env, params)
     if isinstance(expr, n.LikeOp):
-        operand = compile_expr(expr.operand, resolver)
-        pattern = compile_expr(expr.pattern, resolver)
+        operand = compile_expr(expr.operand, resolver, aggregates)
+        pattern = compile_expr(expr.pattern, resolver, aggregates)
         negated = expr.negated
 
         def like(env, params):
@@ -137,8 +159,9 @@ def compile_expr(expr, resolver: Resolver) -> Callable:
             return hit != negated
         return like
     if isinstance(expr, n.InOp):
-        operand = compile_expr(expr.operand, resolver)
-        choices = [compile_expr(c, resolver) for c in expr.choices]
+        operand = compile_expr(expr.operand, resolver, aggregates)
+        choices = [compile_expr(c, resolver, aggregates)
+                   for c in expr.choices]
         negated = expr.negated
 
         def contains(env, params):
@@ -149,9 +172,9 @@ def compile_expr(expr, resolver: Resolver) -> Callable:
             return hit != negated
         return contains
     if isinstance(expr, n.BetweenOp):
-        operand = compile_expr(expr.operand, resolver)
-        low = compile_expr(expr.low, resolver)
-        high = compile_expr(expr.high, resolver)
+        operand = compile_expr(expr.operand, resolver, aggregates)
+        low = compile_expr(expr.low, resolver, aggregates)
+        high = compile_expr(expr.high, resolver, aggregates)
         negated = expr.negated
 
         def between(env, params):
@@ -164,14 +187,19 @@ def compile_expr(expr, resolver: Resolver) -> Callable:
             return hit != negated
         return between
     if isinstance(expr, n.IsNullOp):
-        operand = compile_expr(expr.operand, resolver)
+        operand = compile_expr(expr.operand, resolver, aggregates)
         negated = expr.negated
 
         def is_null(env, params):
             return (operand(env, params) is None) != negated
         return is_null
     if isinstance(expr, n.Aggregate):
-        raise SqlError("aggregate used outside of a select list / HAVING")
+        if aggregates is None:
+            raise SqlError("aggregate used outside of a select list / HAVING")
+        if expr not in aggregates:
+            aggregates.append(expr)
+        slot = aggregates.index(expr)
+        return lambda env, params: env[AGGREGATES][slot]
     raise SqlError(f"cannot compile expression node {expr!r}")
 
 

@@ -57,7 +57,7 @@ class HashIndex:
                 del self._map[key]
 
     def lookup(self, key: tuple) -> list:
-        if any(v is None for v in key):
+        if None in key:
             return []
         return self._map.get(key, [])
 
@@ -106,13 +106,28 @@ class SortedIndex:
             self._entries.pop(pos)
 
     def lookup(self, key: tuple) -> list:
-        if any(v is None for v in key):
+        if None in key:
             return []
-        lo = bisect.bisect_left(self._entries, (key, -1))
-        out = []
         entries = self._entries
+        lo = bisect.bisect_left(entries, (key, -1))
         n = len(entries)
+        if self.unique:
+            return [entries[lo][1]] if lo < n and entries[lo][0] == key \
+                else []
+        out = []
         while lo < n and entries[lo][0] == key:
+            out.append(entries[lo][1])
+            lo += 1
+        return out
+
+    def prefix(self, key: tuple) -> list:
+        """Row ids whose key starts with ``key`` (a leading-column probe)."""
+        entries = self._entries
+        lo = bisect.bisect_left(entries, (key, -1))
+        out = []
+        n = len(entries)
+        klen = len(key)
+        while lo < n and entries[lo][0][:klen] == key:
             out.append(entries[lo][1])
             lo += 1
         return out

@@ -8,6 +8,7 @@ pending requests drain while measurement is already closed.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Optional
 
@@ -121,6 +122,12 @@ def build_site(sim: Simulator, spec: ExperimentSpec) -> SimulatedSite:
 
 def run_experiment(spec: ExperimentSpec) -> ThroughputPoint:
     """Run one point and report its throughput + peak-window CPU."""
+    # A finished simulation is a web of reference cycles (processes,
+    # generators, grants) that only a full collection frees.  Collect it
+    # before this point allocates, so a process's peak memory does not
+    # depend on which points ran before or on where the collector's
+    # generation thresholds happen to fall.
+    gc.collect()
     if spec.overload is not None:
         from repro.overload.runner import run_open_loop
         return run_open_loop(spec)

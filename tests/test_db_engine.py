@@ -458,3 +458,34 @@ def test_drop_table_statement(db):
     assert sql not in db._plan_cache
     with pytest.raises(SqlError):
         db.execute(sql)
+
+
+def test_division_by_zero_is_null(db):
+    # MySQL semantics: x / 0 is NULL, whether the zero is a column
+    # value, a parameter or an aggregate.
+    db.execute("UPDATE items SET quantity = 0 WHERE category = 1")
+    assert db.execute(
+        "SELECT price / quantity FROM items WHERE id = 1").rows == [(None,)]
+    assert db.execute(
+        "SELECT price / ? FROM items WHERE id = 2", (0,)).rows == [(None,)]
+    assert db.execute(
+        "SELECT price / quantity FROM items WHERE id = 2").rows == [(0.2,)]
+
+
+def test_aggregate_division_by_zero_is_null(db):
+    db.execute("UPDATE items SET quantity = 0 WHERE category = 1")
+    zero = db.execute("SELECT SUM(price) / SUM(quantity) FROM items "
+                      "WHERE category = 1")
+    assert zero.rows == [(None,)]
+    # items 2, 6, 10, 14, 18 at price == id and quantity 10.
+    nonzero = db.execute("SELECT SUM(price) / SUM(quantity) FROM items "
+                         "WHERE category = 2")
+    assert nonzero.rows == [(50.0 / 50.0,)]
+
+
+def test_having_combines_aggregates_with_and(db):
+    # categories 0..3 hold five items each; price == id.
+    result = db.execute(
+        "SELECT category, SUM(price) AS total FROM items GROUP BY category "
+        "HAVING COUNT(*) = 5 AND SUM(price) > 50 ORDER BY total DESC")
+    assert result.rows == [(0, 60.0), (3, 55.0)]
