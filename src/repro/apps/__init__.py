@@ -50,7 +50,7 @@ def build_app(app_name: str, arch: Optional[str] = None, *,
     end, or ``(presentation, container)`` for ejb.
 
     ``cluster`` deploys a pool instead: pass a
-    :class:`repro.cluster.ClusterSpec` (the ``gen`` count is used) or a
+    :class:`repro.topology.spec.TopologySpec` (the ``gen`` count is used) or a
     plain int, and the second element of the pair becomes the *list* of
     independent deployments over the shared database
     (:meth:`~repro.apps.base.BenchmarkApp.deploy_pool`).

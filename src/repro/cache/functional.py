@@ -7,10 +7,10 @@ invalidation correctness is testable against ground truth:
 
 * :class:`CachingConnection` interposes the query-result cache in the
   DB driver -- the functional counterpart of
-  ``CachedClusteredSite._db_query``;
+  ``CacheLayer.db_query``;
 * :class:`CachedDeployment` interposes the page-fragment cache at the
-  servlet/PHP dispatch layer -- the counterpart of the page cache in
-  ``_run_container`` / ``_run_php``.
+  servlet/PHP dispatch layer -- the counterpart of the cache layer's
+  page lookup around page generation.
 
 Both cache only clean reads (no explicit locks held, statement/
 interaction is read-only), tag entries with the tables they read, and

@@ -1,11 +1,11 @@
 """Horizontal scale-out: load-balanced tier pools + a replicated DB.
 
 The paper stops at one machine per tier; this package grows each tier
-sideways.  :func:`clustered` wraps one of the six paper configurations
-with a :class:`ClusterSpec` (web pool size, servlet pool size, DB read
-replicas, replication lag, balancing policies) into a
-:class:`ClusterConfiguration` -- e.g. ``Ws{2}-Servlet{4}-DB(1+2)`` --
-and :class:`~repro.cluster.site.ClusteredSite` simulates it.  The
+sideways.  A :class:`~repro.topology.spec.TopologySpec` (web pool size,
+servlet pool size, DB read replicas, replication lag, balancing
+policies) names the shape -- e.g. ``Ws{2}-Servlet{4}-DB(1+2)`` -- and
+:class:`~repro.cluster.layer.ClusterLayer` wraps the simulated site's
+stages with the balancers and the replicated database.  The
 ``python -m repro scale`` CLI sweeps replica counts over the bookstore
 mixes (``repro.experiments.ext_scaleout``).
 
@@ -15,25 +15,14 @@ configurations themselves never touch this package.
 """
 
 from repro.cluster.balancer import LoadBalancer
+from repro.cluster.layer import ClusterLayer, ClusterRoute
 from repro.cluster.replication import DbInstance, ReplicatedDb, SessionState
-from repro.cluster.spec import (
-    POLICIES,
-    ClusterConfiguration,
-    ClusterSpec,
-    clustered,
-    parse_cluster_name,
-    resolve_configuration,
-)
 
 __all__ = [
-    "POLICIES",
-    "ClusterConfiguration",
-    "ClusterSpec",
+    "ClusterLayer",
+    "ClusterRoute",
     "DbInstance",
     "LoadBalancer",
     "ReplicatedDb",
     "SessionState",
-    "clustered",
-    "parse_cluster_name",
-    "resolve_configuration",
 ]

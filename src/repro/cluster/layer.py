@@ -1,8 +1,9 @@
-"""A :class:`SimulatedSite` with replicated tiers behind load balancers.
+"""The cluster layer: replicated tiers behind load balancers.
 
-:class:`ClusteredSite` keeps every mechanism of the base site -- the
-same cost tables, lock semantics, fault surface and tracing hooks --
-and adds the scale-out plumbing of a :class:`ClusterConfiguration`:
+:class:`ClusterLayer` wraps a :class:`~repro.topology.simulation.
+SimulatedSite` whose configuration carries a topology axis, and keeps
+every mechanism of the core -- the same cost tables, lock semantics,
+fault surface and tracing hooks -- while adding the scale-out plumbing:
 
 * per-request routing: the web and servlet pools sit behind
   :class:`~repro.cluster.balancer.LoadBalancer` instances, and the
@@ -30,13 +31,11 @@ from typing import Dict, Optional
 
 from repro.cluster.balancer import LoadBalancer
 from repro.cluster.replication import DbInstance, ReplicatedDb, SessionState
-from repro.cluster.spec import ClusterConfiguration
 from repro.faults.errors import TierDown
-from repro.harness.profiles import AppProfile
-from repro.sim.kernel import Interrupt, Simulator
+from repro.sim.kernel import Interrupt
 from repro.sim.resources import Resource, RWLock
 from repro.sim.rng import RngStreams
-from repro.topology.simulation import SimulatedSite
+from repro.topology.simulation import SimulatedSite, SiteLayer
 from repro.web.server import SPAN_LB_ROUTE
 
 
@@ -46,11 +45,12 @@ class ClusterRoute:
     __slots__ = ("web", "gen", "ejb", "db", "db_client", "web_processes",
                  "session", "client_id", "web_token", "gen_token",
                  "db_busy_on", "writes_committed", "interaction", "rng",
-                 "cache_keys", "cache_seq", "shard_groups", "span_shards",
-                 "shard_writes", "scatter_shards")
+                 "cache_keys", "cache_seq", "page_plan", "shard_groups",
+                 "span_shards", "shard_writes", "scatter_shards")
 
     def __init__(self, web, gen, ejb, db, db_client, web_processes,
-                 session, client_id, web_token, gen_token):
+                 session, client_id, web_token, gen_token, interaction,
+                 rng):
         self.web = web
         self.gen = gen
         self.ejb = ejb
@@ -63,41 +63,42 @@ class ClusterRoute:
         self.gen_token = gen_token
         self.db_busy_on = None        # replica currently serving a read
         self.writes_committed = 0     # commits by *this* attempt
-        self.interaction = None       # set by _route
-        self.rng = None               # set by the caching site
-        self.cache_keys = None        # table -> entity, memoized per request
-        self.cache_seq = 0            # cacheable-query ordinal in request
-        self.shard_groups = None      # group -> shard, set by the sharded site
+        self.interaction = interaction
+        self.rng = rng                # the client's stream
+        self.cache_keys = {}          # cache layer: table -> entity
+        self.cache_seq = 0            # cache layer: cacheable-query ordinal
+        self.page_plan = None         # cache layer: this page's key + tags
+        self.shard_groups = {}        # shard layer: group -> shard
         self.span_shards = ()         # shards locked by the current span
-        self.shard_writes = None      # shards written (sharded site only)
+        self.shard_writes = set()     # shards written by the current span
         self.scatter_shards = ()      # shards a scatter-gather is touching
 
 
-class ClusteredSite(SimulatedSite):
-    """A deployed cluster configuration under simulation."""
+class ClusterLayer(SiteLayer):
+    """Load-balanced pools and a replicated database around one site."""
 
-    def __init__(self, sim: Simulator, config: ClusterConfiguration,
-                 profile: AppProfile, rng: Optional[RngStreams] = None,
-                 **kwargs):
-        if not isinstance(config, ClusterConfiguration):
-            raise TypeError(f"ClusteredSite needs a ClusterConfiguration, "
-                            f"got {config.name!r}; wrap it with "
-                            f"repro.cluster.clustered()")
-        super().__init__(sim, config, profile, **kwargs)
+    axis = "cluster"
+    wraps = ("dispatch", "db_query", "table_lock_of", "note_commit",
+             "sync_registry", "new_session", "end_session", "mark_up",
+             "crash_victims")
+
+    def __init__(self, site: SimulatedSite, rng: RngStreams):
+        super().__init__(site)
+        config = site.config
         spec = config.cluster
-        rng = rng if rng is not None else RngStreams(42)
-        is_up = lambda name: name not in self.down   # noqa: E731
+        sim = site.sim
+        is_up = lambda name: name not in site.down   # noqa: E731
 
         # -- web / gen pools ------------------------------------------------
         web_names = config.pool("web")
-        self.web_pool = [self.machines[n] for n in web_names]
-        # One Apache process pool per front end; member 1 *is* the base
+        self.web_pool = [site.machines[n] for n in web_names]
+        # One Apache process pool per front end; member 1 *is* the core
         # site's pool object, so tests and admission control see it.
         self._web_processes: Dict[str, Resource] = {
-            self.web.name: self.web_processes}
+            site.web.name: site.web_processes}
         for machine in self.web_pool[1:]:
             self._web_processes[machine.name] = Resource(
-                sim, capacity=self.web_config.max_processes,
+                sim, capacity=site.web_config.max_processes,
                 name=f"httpd@{machine.name}")
         self.web_lb = LoadBalancer(
             "lb.web", web_names, policy=spec.web_policy,
@@ -108,42 +109,40 @@ class ClusteredSite(SimulatedSite):
             self.gen_lb = None        # the web pick is the gen pick
         else:
             gen_names = config.pool("gen")
-            self.gen_pool = [self.machines[n] for n in gen_names]
+            self.gen_pool = [site.machines[n] for n in gen_names]
             self.gen_lb = LoadBalancer(
                 "lb.gen", gen_names, policy=spec.gen_policy,
                 rng=rng.stream("cluster.lb.gen"), is_up=is_up)
         # Each servlet engine is its own JVM: private sync-lock
-        # registry per pool member (member 1 shares the base site's, so
+        # registry per pool member (member 1 shares the core site's, so
         # the trivial cluster and the tests see the same dict).
         self._sync_registries: Dict[str, Dict[str, RWLock]] = {
             machine.name: {} for machine in self.gen_pool}
-        self._sync_registries[self.gen.name] = self._sync_locks
+        self._sync_registries[site.gen.name] = site._sync_locks
 
         # -- replicated database -------------------------------------------
-        primary = DbInstance(sim, self.db,
-                             write_priority=self.costs.db_write_priority,
-                             table_locks=self._table_locks, is_primary=True)
+        primary = DbInstance(sim, site.db,
+                             write_priority=site.costs.db_write_priority,
+                             table_locks=site._table_locks, is_primary=True)
         replica_names = config.db_replica_names()
-        replicas = [DbInstance(sim, self.machines[n],
-                               write_priority=self.costs.db_write_priority)
+        replicas = [DbInstance(sim, site.machines[n],
+                               write_priority=site.costs.db_write_priority)
                     for n in replica_names]
         read_lb = LoadBalancer(
-            "lb.db", replica_names or [self.db.name],
+            "lb.db", replica_names or [site.db.name],
             policy=spec.db_read_policy,
             rng=rng.stream("cluster.lb.db"), is_up=is_up)
         self.repl = ReplicatedDb(
-            sim, self, primary, replicas,
+            sim, site, primary, replicas,
             replication_lag=spec.replication_lag,
             apply_cost_factor=spec.apply_cost_factor, balancer=read_lb)
-        self._db_instances: Dict[str, DbInstance] = {
-            self.db.name: primary}
-        self._db_instances.update(
-            (r.machine.name, r) for r in replicas)
+        self.db_instances: Dict[str, DbInstance] = {site.db.name: primary}
+        self.db_instances.update((r.machine.name, r) for r in replicas)
         self._db_replica_names = frozenset(replica_names)
 
         # -- routing state --------------------------------------------------
         self._sessions: Dict[int, SessionState] = {}
-        self._routes: Dict[object, ClusterRoute] = {}
+        self.routes: Dict[object, ClusterRoute] = {}
         self._pool_names: Dict[str, tuple] = {}
         if len(web_names) > 1:
             members = tuple(web_names)
@@ -157,7 +156,7 @@ class ClusteredSite(SimulatedSite):
 
     # -- sessions -------------------------------------------------------------
 
-    def _session(self, client_id: int) -> SessionState:
+    def session(self, client_id: int) -> SessionState:
         session = self._sessions.get(client_id)
         if session is None:
             session = SessionState(client_id)
@@ -166,7 +165,7 @@ class ClusteredSite(SimulatedSite):
 
     def new_session(self, client_id: int, rng) -> None:
         """Session start: fresh consistency watermark, fresh affinity."""
-        self._session(client_id).reset()
+        self.session(client_id).reset()
         self.web_lb.forget_session(client_id)
         if self.gen_lb is not None:
             self.gen_lb.forget_session(client_id)
@@ -183,9 +182,10 @@ class ClusteredSite(SimulatedSite):
     # -- routing --------------------------------------------------------------
 
     def _route(self, name: str, client_id: int, rng) -> ClusterRoute:
-        session = self._session(client_id)
+        site = self.site
+        session = self.session(client_id)
         web_token = self._acquire_member(self.web_lb, client_id)
-        web = self.machines[web_token] if web_token is not None \
+        web = site.machines[web_token] if web_token is not None \
             else self.web_pool[0]
         if self.gen_lb is None:
             gen, gen_token = web, None
@@ -196,21 +196,21 @@ class ClusteredSite(SimulatedSite):
                 if web_token is not None:
                     self.web_lb.release(web_token)
                 raise
-            gen = self.machines[gen_token] if gen_token is not None \
+            gen = site.machines[gen_token] if gen_token is not None \
                 else self.gen_pool[0]
-        db_client = self.ejb if self.config.flavor == "ejb" else gen
+        db_client = site.ejb if site.config.flavor == "ejb" else gen
         route = ClusterRoute(
-            web=web, gen=gen, ejb=self.ejb, db=self.db,
+            web=web, gen=gen, ejb=site.ejb, db=site.db,
             db_client=db_client,
             web_processes=self._web_processes[web.name],
             session=session, client_id=client_id,
-            web_token=web_token, gen_token=gen_token)
-        route.interaction = name
-        if self._track_inflight:
-            proc = self.sim.current_process
+            web_token=web_token, gen_token=gen_token, interaction=name,
+            rng=rng)
+        if site._track_inflight:
+            proc = site.sim.current_process
             if proc is not None:
-                self._routes[proc] = route
-        tracer = self.sim.tracer
+                self.routes[proc] = route
+        tracer = site.sim.tracer
         if tracer is not None and len(self.web_pool) > 1:
             rc = tracer.current()
             if rc is not None:
@@ -237,17 +237,20 @@ class ClusteredSite(SimulatedSite):
             self.web_lb.release(route.web_token)
         if route.gen_token is not None:
             self.gen_lb.release(route.gen_token)
-        if self._routes:
-            proc = self.sim.current_process
-            if proc is not None and self._routes.get(proc) is route:
-                del self._routes[proc]
+        if self.routes:
+            proc = self.site.sim.current_process
+            if proc is not None and self.routes.get(proc) is route:
+                del self.routes[proc]
 
-    def _dispatch(self, variant, name, client_id, rng):
+    def dispatch(self, variant, name, client_id, rng):
+        """Route through the balancers and run the pipeline; a crash of
+        a replicated pool member resubmits the request elsewhere."""
+        perform = self.site.stages.perform
         attempts = 0
         while True:
             route = self._route(name, client_id, rng)
             try:
-                yield from self._perform(variant, name, rng, route)
+                yield from perform(variant, name, rng, route)
                 return
             except Interrupt as exc:
                 cause = exc.cause
@@ -278,39 +281,36 @@ class ClusteredSite(SimulatedSite):
             return False
         if attempts + 1 >= len(pool):
             return False
-        return any(m not in self.down for m in pool)
+        return any(m not in self.site.down for m in pool)
 
     # -- database routing -----------------------------------------------------
 
-    def _db_query(self, step, held_explicit, route, rc=None, label=""):
-        repl = self.repl
-        writes = step[5]
+    def db_query(self, step, held_explicit, route, rc=None, label=""):
         # Writes and LOCK TABLES spans always execute on the primary;
         # so does everything when there are no replicas (identity).
-        if held_explicit or writes or not repl.replicas:
-            yield from self._db_access(step, held_explicit, route,
-                                       self.db, rc, label)
-            return
-        yield from self._db_read_replicated(step, route, repl,
-                                            route.session, rc, label)
+        if held_explicit or step[5] or not self.repl.replicas:
+            return self.inner.db_query(step, held_explicit, route, rc,
+                                       label)
+        return self.read_replicated(step, route, self.repl, route.session,
+                                    rc, label)
 
-    def _db_read_replicated(self, step, route, repl, session,
-                            rc=None, label="", held_explicit=None):
+    def read_replicated(self, step, route, repl, session, rc=None,
+                        label="", held_explicit=None):
         """Serve one read via ``repl``'s balancer + read-your-writes
-        routing, resubmitting on a replica crash.  Shared by the
-        replicated and sharded sites (the latter passes each shard's own
-        ``ReplicatedDb`` and per-shard session).  A truthy
-        ``held_explicit`` marks a reference read issued from inside a
-        lock span: it skips statement-level locks wherever it lands
-        (mid-span acquisition would break the global lock order)."""
+        routing, resubmitting on a replica crash.  Shared with the shard
+        layer (which passes each shard's own ``ReplicatedDb`` and
+        per-shard session).  A truthy ``held_explicit`` marks a
+        reference read issued from inside a lock span: it skips
+        statement-level locks wherever it lands (mid-span acquisition
+        would break the global lock order)."""
+        run_on = self.site._db_query
         while True:
             instance, token = repl.route_read(session, rc)
             if token is not None:
                 route.db_busy_on = instance.machine.name
             try:
-                yield from self._db_access(step, held_explicit or {},
-                                           route, instance.machine, rc,
-                                           label)
+                yield from run_on(step, held_explicit or {}, route, rc,
+                                  label, instance.machine)
                 return
             except Interrupt as exc:
                 cause = exc.cause
@@ -326,42 +326,42 @@ class ClusteredSite(SimulatedSite):
                     repl.release_read(token)
                     route.db_busy_on = None
 
-    def _instance_table_lock(self, db, table: str) -> RWLock:
-        instance = self._db_instances.get(db.name)
+    def table_lock_of(self, db, table: str) -> RWLock:
+        instance = self.db_instances.get(db.name)
         if instance is None or instance.is_primary:
-            return self.table_lock(table)
+            return self.site.table_lock(table)
         return instance.table_lock(table)
 
-    def _note_commit(self, route: ClusterRoute, writes,
-                     db_cpu: float, db=None) -> None:
+    def note_commit(self, route: ClusterRoute, writes, db_cpu: float,
+                    db=None) -> None:
         self.repl.commit_write(route.session, writes, db_cpu)
         route.writes_committed += 1
 
     # -- fault surface --------------------------------------------------------
 
     def mark_up(self, machine_name: str) -> None:
-        super().mark_up(machine_name)
+        self.inner.mark_up(machine_name)
         self.repl.notify_up(machine_name)
 
     def crash_victims(self, machine_name: str) -> list:
+        down = self.site.down
         pool = self._pool_names.get(machine_name)
         if pool is not None \
-                and any(m != machine_name and m not in self.down
-                        for m in pool):
-            return [proc for proc, route in self._routes.items()
+                and any(m != machine_name and m not in down for m in pool):
+            return [proc for proc, route in self.routes.items()
                     if not proc.finished
                     and (route.web.name == machine_name
                          or route.gen.name == machine_name)]
         if machine_name in self._db_replica_names \
-                and self.db.name not in self.down:
-            return [proc for proc, route in self._routes.items()
+                and self.site.db.name not in down:
+            return [proc for proc, route in self.routes.items()
                     if not proc.finished
                     and route.db_busy_on == machine_name]
-        return self.inflight_processes()
+        return self.inner.crash_victims(machine_name)
 
     # -- sync locks -----------------------------------------------------------
 
-    def _sync_registry(self, route) -> Dict[str, RWLock]:
-        if route is None or route is self:
-            return self._sync_locks
+    def sync_registry(self, route) -> Dict[str, RWLock]:
+        if route is None or route is self.site:
+            return self.site._sync_locks
         return self._sync_registries[route.gen.name]

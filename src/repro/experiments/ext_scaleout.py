@@ -36,11 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster import ClusterSpec, clustered
 from repro.experiments.common import get_app, get_profiles, run_keyed_tasks
 from repro.harness.experiment import ExperimentSpec, run_experiment
 from repro.metrics.report import ThroughputPoint
 from repro.topology.configs import configuration_by_name
+from repro.topology.spec import TopologySpec, clustered
 
 #: Default base configuration per bookstore mix: the shopping mix is
 #: database-CPU-bound on the dedicated-servlet configurations, the
@@ -109,7 +109,7 @@ def cluster_for(base_name: str, replicas: int) -> object:
     """
     base = configuration_by_name(base_name)
     front = 1 + replicas
-    spec = ClusterSpec(web=front, gen=front, db_replicas=replicas)
+    spec = TopologySpec(web=front, gen=front, db_replicas=replicas)
     return clustered(base, spec)
 
 

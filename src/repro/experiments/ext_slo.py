@@ -180,13 +180,13 @@ def run_chaos(scale: SloScale, seed: int = 42,
               app_name: str = "bookstore",
               mix_name: str = "shopping") -> ChaosSummary:
     """Flash crowd + read-replica crash on a clustered Ws-Servlet-DB."""
-    from repro.cluster import ClusterSpec, clustered
+    from repro.topology.spec import TopologySpec, clustered
     from repro.faults.plan import FaultPlan
 
     app = get_app(app_name)
     profiles = get_profiles(app_name)
     base = configuration_by_name("Ws-Servlet-DB")
-    config = clustered(base, ClusterSpec(web=2, gen=2, db_replicas=1))
+    config = clustered(base, TopologySpec(web=2, gen=2, db_replicas=1))
 
     burst_start = scale.ramp_up + scale.chaos_pre
     burst_end = burst_start + scale.chaos_burst

@@ -87,50 +87,55 @@ class ExperimentSpec:
 
 
 def build_site(sim: Simulator, spec: ExperimentSpec) -> SimulatedSite:
-    """The site for a spec: clustered when the configuration carries a
-    cluster axis (:mod:`repro.cluster`), the plain single-machine-per-
-    tier site otherwise.  The import stays lazy so the paper
-    configurations never load the cluster package."""
-    kwargs = dict(ssl_interactions=spec.ssl_interactions,
-                  costs=spec.sim_costs or SimCosts(),
-                  web_config=spec.web_config)
+    """The site for a spec: the core plus one layer per axis the spec
+    carries.  A configuration with a topology axis gets the cluster
+    layer, and the cache and shard layers when it has cache nodes or two
+    or more shards; a degradation policy adds the degradation layer.
+    The imports stay lazy so the paper configurations never load an
+    axis package."""
+    site = SimulatedSite(sim, spec.config, spec.profile,
+                         ssl_interactions=spec.ssl_interactions,
+                         costs=spec.sim_costs or SimCosts(),
+                         web_config=spec.web_config)
+    layers = []
     topo = getattr(spec.config, "cluster", None)
-    shards = getattr(topo, "db_shards", 1) if topo is not None else 1
-    if shards > 1 and topo.cache_nodes > 0:
-        from repro.shard.cached import CachedShardedSite
-        site = CachedShardedSite(sim, spec.config, spec.profile,
-                                 rng=RngStreams(spec.seed), **kwargs)
-    elif shards > 1:
-        from repro.shard.site import ShardedSite
-        site = ShardedSite(sim, spec.config, spec.profile,
-                           rng=RngStreams(spec.seed), **kwargs)
-    elif topo is not None and topo.cache_nodes > 0:
-        from repro.cache.site import CachedClusteredSite
-        site = CachedClusteredSite(sim, spec.config, spec.profile,
-                                   rng=RngStreams(spec.seed), **kwargs)
-    elif topo is not None:
-        from repro.cluster.site import ClusteredSite
-        site = ClusteredSite(sim, spec.config, spec.profile,
-                             rng=RngStreams(spec.seed), **kwargs)
-    else:
-        site = SimulatedSite(sim, spec.config, spec.profile, **kwargs)
+    if topo is not None:
+        from repro.cluster.layer import ClusterLayer
+        rng = RngStreams(spec.seed)
+        cluster = ClusterLayer(site, rng)
+        layers.append(cluster)
+        cache = None
+        if topo.cache_nodes > 0:
+            from repro.cache.layer import CacheLayer
+            cache = CacheLayer(site)
+            layers.append(cache)
+        if topo.db_shards > 1:
+            from repro.shard.layer import ShardLayer
+            layers.append(ShardLayer(site, cluster, rng, cache=cache))
     if spec.degradation is not None:
-        from repro.overload.degradation import install_degradation
-        install_degradation(site, spec.degradation)
+        from repro.overload.degradation import DegradationLayer
+        layers.append(DegradationLayer(site, spec.degradation))
+    site.compose(layers)
     return site
 
 
 def run_experiment(spec: ExperimentSpec) -> ThroughputPoint:
-    """Run one point and report its throughput + peak-window CPU."""
+    """Run one point and report its throughput + peak-window CPU.
+
+    The population is closed-loop (``spec.clients`` emulated browsers)
+    unless the spec carries an ``overload`` field: then sessions arrive
+    open-loop, ``clients`` is ignored, and the point also carries the
+    windowed SLO series as undeclared attributes -- ``point.slo`` (the
+    :class:`~repro.metrics.slo.SloSummary` over stable windows),
+    ``point.slo_windows``, ``point.overload_stats``, and
+    ``point.degradation`` when that layer is installed.
+    """
     # A finished simulation is a web of reference cycles (processes,
     # generators, grants) that only a full collection frees.  Collect it
     # before this point allocates, so a process's peak memory does not
     # depend on which points ran before or on where the collector's
     # generation thresholds happen to fall.
     gc.collect()
-    if spec.overload is not None:
-        from repro.overload.runner import run_open_loop
-        return run_open_loop(spec)
     sim = Simulator()
     site = build_site(sim, spec)
     tracer = None
@@ -140,9 +145,19 @@ def run_experiment(spec: ExperimentSpec) -> ThroughputPoint:
                                      spec.ramp_up + spec.measure))
         sim.tracer = tracer
     rng = RngStreams(spec.seed)
-    population = ClientPopulation(
-        sim, spec.clients, spec.mix, site, rng, choose_interaction,
-        think=spec.think, retry=spec.retry)
+    series = None
+    if spec.overload is None:
+        population = ClientPopulation(
+            sim, spec.clients, spec.mix, site, rng, choose_interaction,
+            think=spec.think, retry=spec.retry)
+    else:
+        from repro.metrics.slo import SloSeries, SloSpec
+        from repro.overload.openloop import OpenLoopPopulation
+        series = SloSeries(sim, spec.slo if spec.slo is not None
+                           else SloSpec())
+        population = OpenLoopPopulation(
+            sim, spec.overload, spec.mix, site, rng, choose_interaction,
+            retry=spec.retry, slo=series)
     sampler = SysstatSampler(sim, site.machines,
                              interval=spec.sample_interval)
     if spec.fault_plan:
@@ -154,18 +169,20 @@ def run_experiment(spec: ExperimentSpec) -> ThroughputPoint:
     population.begin_measurement()
     db_wait0 = site.db_lock_wait_time
     sync_wait0 = site.sync_lock_wait_time
-    cache = getattr(site, "cache", None)
-    cache_stats0 = cache.stats.snapshot() if cache is not None else None
-    shard = getattr(site, "shard_stats", None)
-    shard_stats0 = shard.snapshot() if shard is not None else None
+    # Axis counters (cache hits, shard routing) over the window.
+    counters = [(layer.axis, layer.stats, layer.stats.snapshot())
+                for layer in site.layers if layer.stats is not None]
     measure_start = sim.now
     sim.run(until=spec.ramp_up + spec.measure)
     stats = population.end_measurement()
     measure_end = sim.now
-    cache_stats = (cache.stats.delta(cache_stats0)
-                   if cache is not None else None)
-    shard_stats = (shard.delta(shard_stats0)
-                   if shard is not None else None)
+    windowed = {axis: counter.delta(start)
+                for axis, counter, start in counters}
+    if series is not None:
+        # Stop the open loop before ramp-down: unlike closed-loop
+        # clients, sessions keep *arriving*, so an un-stopped drain
+        # never ends.
+        population.stop()
     sim.run(until=spec.ramp_up + spec.measure + spec.ramp_down)
     # Credit batched CPU slices still in flight so kernel_events matches
     # the per-quantum count.
@@ -200,14 +217,14 @@ def run_experiment(spec: ExperimentSpec) -> ThroughputPoint:
     if spec.wirt_limits is not None:
         from repro.metrics.wirt import evaluate_wirt
         point.wirt = evaluate_wirt(stats, spec.wirt_limits)
-    if cache_stats is not None:
-        # Undeclared attribute (like ``tracer`` below): a picklable
-        # snapshot of the tier's hit/miss/absorption aggregates over
-        # the measurement window.
-        point.cache = cache_stats
-    if shard_stats is not None:
-        # Routing/2PC counters over the measurement window (picklable).
-        point.shard = shard_stats
+    # Undeclared attributes (like ``tracer`` below): picklable snapshots
+    # of each axis's counters over the measurement window --
+    # ``point.cache`` (hit/miss/absorption) and ``point.shard``
+    # (routing/2PC).
+    for axis, delta in windowed.items():
+        setattr(point, axis, delta)
+    if series is not None:
+        _attach_slo(point, site, series, stats, measure_end)
     if tracer is not None:
         from repro.obs import build_report
         tracer.finalize()
@@ -217,7 +234,7 @@ def run_experiment(spec: ExperimentSpec) -> ThroughputPoint:
             tracer, configuration=spec.config.name,
             interaction_mix=spec.app_name or spec.profile.app_name,
             clients=spec.clients, web_nic_utilization=nic_util,
-            cache_stats=cache_stats)
+            cache_stats=windowed.get("cache"))
         point.bottleneck = bottleneck.bottleneck
         # Undeclared attributes: asdict()-based equality checks between
         # serial and parallel runs ignore them, and they never cross the
@@ -225,6 +242,33 @@ def run_experiment(spec: ExperimentSpec) -> ThroughputPoint:
         point.tracer = tracer
         point.bottleneck_report = bottleneck
     return point
+
+
+def _attach_slo(point, site, series, stats, horizon: float) -> None:
+    """The open loop's SLO summary over the stable windows, with exact
+    run-level percentiles from every successful latency sample."""
+    from repro.metrics.slo import (
+        percentile,
+        select_stable_windows,
+        summarize_slo,
+    )
+    stable = select_stable_windows(series.windows(), horizon=horizon)
+    summary = summarize_slo(stable, series.spec)
+    # The per-window digests aggregate approximately across windows;
+    # the population kept every successful latency sample, so make the
+    # run-level percentiles exact.
+    samples = [t for times in stats.response_times.values()
+               for t in times]
+    if samples:
+        summary.p50 = percentile(samples, 0.50)
+        summary.p95 = percentile(samples, 0.95)
+        summary.p99 = percentile(samples, 0.99)
+    point.slo = summary
+    point.slo_windows = stable
+    point.overload_stats = stats
+    degradation = site.layer("degradation")
+    if degradation is not None:
+        point.degradation = degradation
 
 
 def run_sweep(base: ExperimentSpec, client_counts: Iterable[int],

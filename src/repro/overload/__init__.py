@@ -5,9 +5,10 @@ site; this package adds everything overload needs -- open-loop arrival
 processes and heavy-tailed think times (:mod:`~repro.overload.arrivals`),
 the open-loop session population (:mod:`~repro.overload.openloop`), the
 graceful-degradation layer of bounded tier queues, a DB circuit breaker
-and priority load shedding (:mod:`~repro.overload.degradation`), and the
-open-loop experiment runner (:mod:`~repro.overload.runner`).  Windowed
-SLO metrics live in :mod:`repro.metrics.slo`.
+and priority load shedding (:mod:`~repro.overload.degradation`).  An
+``ExperimentSpec`` with an ``overload`` field runs open-loop through
+:func:`repro.harness.experiment.run_experiment`; windowed SLO metrics
+live in :mod:`repro.metrics.slo`.
 
 Everything is opt-in: a closed-loop run never imports this package, and
 an installed-but-idle degradation layer adds no RNG draws and schedules
@@ -26,22 +27,19 @@ from repro.overload.degradation import (
     DEFAULT_BROWSE_CLASS,
     BreakerPolicy,
     CircuitBreaker,
+    DegradationLayer,
     DegradationPolicy,
-    DegradationState,
-    install_degradation,
 )
 from repro.overload.openloop import (
     OpenLoopPopulation,
     OpenLoopStats,
     OverloadSpec,
 )
-from repro.overload.runner import run_open_loop
 
 __all__ = [
     "PoissonProfile", "FlashCrowdProfile", "MmppProfile",
     "DiurnalProfile", "ThinkTimeModel", "AbandonmentSpec",
     "BreakerPolicy", "DegradationPolicy", "CircuitBreaker",
-    "DegradationState", "install_degradation", "DEFAULT_BROWSE_CLASS",
+    "DegradationLayer", "DEFAULT_BROWSE_CLASS",
     "OverloadSpec", "OpenLoopStats", "OpenLoopPopulation",
-    "run_open_loop",
 ]

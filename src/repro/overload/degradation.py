@@ -30,12 +30,11 @@ arXiv:1405.1618 -- keep one saturated tier from collapsing the others):
   a *successful* (if lesser) interaction: it counts toward goodput and
   is tallied separately.
 
-Installation (:func:`install_degradation`) wraps the site's
-``_perform`` / ``_run_container`` / ``_run_php`` / ``_db_query``
-methods as *instance attributes* capturing the class-level originals,
-so a site without a policy runs byte-for-byte the unwrapped hot path --
-zero extra frames, zero RNG, zero events -- and ``ClusteredSite``'s
-class-level overrides keep working underneath the wrappers.
+:class:`DegradationLayer` is the site's outermost layer: it wraps the
+``perform``, ``run_container``, ``run_php`` and ``db_query`` stages
+around whatever the cluster, shard and cache layers put beneath it.  A
+site without a policy has no such layer and runs the unwrapped path --
+zero extra frames, zero RNG, zero events.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ from repro.faults.errors import (
     TransientDbError,
 )
 from repro.sim.resources import Resource, safe_acquire
+from repro.topology.simulation import SimulatedSite, SiteLayer
 from repro.web.server import SPAN_DEGRADED
 
 # TPC-W's browse class: the read-only storefront pages a degraded cache
@@ -180,9 +180,15 @@ class CircuitBreaker:
         if self.state == self.CLOSED:
             self._outcomes.append(True)
 
-    def record_failure(self) -> None:
+    def release_probe(self) -> None:
+        """Give back a half-open probe slot whose call ended without an
+        outcome (an interrupt), leaving the window unbiased."""
         if self.state == self.HALF_OPEN:
             self._probes_in_flight = max(0, self._probes_in_flight - 1)
+
+    def record_failure(self) -> None:
+        if self.state == self.HALF_OPEN:
+            self.release_probe()
             self._trip()
             return
         if self.state == self.CLOSED:
@@ -200,10 +206,15 @@ class CircuitBreaker:
         self.trips += 1
 
 
-class DegradationState:
-    """Gates, breaker, and tallies attached to one site."""
+class DegradationLayer(SiteLayer):
+    """Gates, breaker, and tallies wrapped around one site."""
 
-    def __init__(self, sim, policy: DegradationPolicy):
+    axis = "degradation"
+    wraps = ("perform", "run_container", "run_php", "db_query")
+
+    def __init__(self, site: SimulatedSite, policy: DegradationPolicy):
+        super().__init__(site)
+        sim = site.sim
         self.policy = policy
         self.container_gate = (
             Resource(sim, capacity=policy.container_concurrency,
@@ -237,28 +248,23 @@ class DegradationState:
             return True
         return self.breaker is not None and self.breaker.is_open
 
+    # -- priority shedding -----------------------------------------------------
 
-def _gate_full(gate: Resource, backlog: int) -> bool:
-    return gate.in_use >= gate.capacity and gate.queue_length >= backlog
+    def perform(self, variant, name, rng, route):
+        if name in self.policy.degradable and self.shedding(route):
+            return self._degraded(name, route)
+        return self.inner.perform(variant, name, rng, route)
 
-
-def install_degradation(site, policy: DegradationPolicy) -> DegradationState:
-    """Wrap ``site`` (a :class:`~repro.topology.simulation.SimulatedSite`
-    or subclass) with the degradation layer; returns the state object
-    (also exposed as ``site.degradation``)."""
-    sim = site.sim
-    state = DegradationState(sim, policy)
-    site.degradation = state
-
-    cls = type(site)
-    base_perform = cls._perform
-    base_container = cls._run_container
-    base_php = cls._run_php
-    base_db_query = cls._db_query
-
-    def degraded_reply(name, route, rc):
+    def _degraded(self, name, route):
         """Serve the static fallback from the web tier alone."""
+        site = self.site
         web = route.web
+        if site.down:
+            site._check_up(web)
+        yield from site.lan.transfer(site.client_machine, web,
+                                     site.costs.request_bytes)
+        tracer = site.sim.tracer
+        rc = tracer.current() if tracer is not None else None
         cfg = site.web_config
         span = rc.push(SPAN_DEGRADED, "phase", "web",
                        meta={"origin": name}) if rc is not None else None
@@ -270,82 +276,78 @@ def install_degradation(site, policy: DegradationPolicy) -> DegradationState:
             yield from web.cpu.execute(cpu)
             yield from site.lan.transfer(web, site.client_machine,
                                          cfg.degraded_response_bytes)
-            state.degraded_served += 1
+            self.degraded_served += 1
         finally:
             if span is not None:
                 rc.pop(span)
 
-    def perform_wrapper(variant, name, rng, route):
-        if name in policy.degradable and state.shedding(route):
-            if site.down:
-                site._check_up(route.web)
-            yield from site.lan.transfer(site.client_machine, route.web,
-                                         site.costs.request_bytes)
-            tracer = sim.tracer
-            rc = tracer.current() if tracer is not None else None
-            yield from degraded_reply(name, route, rc)
-            return
-        yield from base_perform(site, variant, name, rng, route)
+    # -- the container gate ----------------------------------------------------
 
-    def busy_reject(route, tier, reject_cpu):
-        """Fast busy page: charge the rejecting tier, answer the client
-        through the web machine, raise backpressure."""
-        state.backpressure_rejects[tier] += 1
-        cfg = site.web_config
-        yield from route.web.cpu.execute(
-            reject_cpu + cfg.reject_response_bytes * cfg.per_net_byte_cpu)
-        yield from site.lan.transfer(route.web, site.client_machine,
-                                     cfg.reject_response_bytes)
-        raise BackpressureError(tier)
+    def run_container(self, variant, rng, route, rc=None):
+        if self.container_gate is None:
+            return self.inner.run_container(variant, rng, route, rc)
+        site = self.site
+        reject_cpu = site.ejb_costs.per_busy_reject \
+            if site.config.flavor == "ejb" \
+            else site.servlet_costs.per_busy_reject
+        return self._gated(self.inner.run_container, reject_cpu,
+                           variant, rng, route, rc)
 
-    def container_wrapper(variant, rng, route, rc=None):
-        gate = state.container_gate
-        if gate is None:
-            yield from base_container(site, variant, rng, route, rc)
-            return
-        if _gate_full(gate, policy.container_backlog):
-            reject_cpu = site.ejb_costs.per_busy_reject \
-                if site.config.flavor == "ejb" \
-                else site.servlet_costs.per_busy_reject
-            yield from busy_reject(route, "servlet", reject_cpu)
-        yield from safe_acquire(gate)
-        try:
-            yield from base_container(site, variant, rng, route, rc)
-        finally:
-            gate.release()
-
-    def php_wrapper(variant, rng, route, rc=None):
+    def run_php(self, variant, rng, route, rc=None):
         # PHP runs inside the web process: the container gate bounds the
         # scripts executing concurrently, exactly like the servlet tier.
-        gate = state.container_gate
-        if gate is None:
-            yield from base_php(site, variant, rng, route, rc)
-            return
-        if _gate_full(gate, policy.container_backlog):
-            yield from busy_reject(route, "servlet",
-                                   site.web_config.per_reject_cpu)
+        if self.container_gate is None:
+            return self.inner.run_php(variant, rng, route, rc)
+        return self._gated(self.inner.run_php,
+                           self.site.web_config.per_reject_cpu,
+                           variant, rng, route, rc)
+
+    def _gated(self, run, reject_cpu, variant, rng, route, rc):
+        """Run the container work holding a gate slot.  With every slot
+        busy and the backlog full, answer with a fast busy page instead:
+        charge the rejecting tier, reply through the web machine, raise
+        backpressure."""
+        gate = self.container_gate
+        if _gate_full(gate, self.policy.container_backlog):
+            self.backpressure_rejects["servlet"] += 1
+            site = self.site
+            cfg = site.web_config
+            yield from route.web.cpu.execute(
+                reject_cpu + cfg.reject_response_bytes * cfg.per_net_byte_cpu)
+            yield from site.lan.transfer(route.web, site.client_machine,
+                                         cfg.reject_response_bytes)
+            raise BackpressureError("servlet")
         yield from safe_acquire(gate)
         try:
-            yield from base_php(site, variant, rng, route, rc)
+            yield from run(variant, rng, route, rc)
         finally:
             gate.release()
 
-    def db_query_wrapper(step, held_explicit, route, rc=None, label=""):
-        breaker = state.breaker
+    # -- the database breaker and gate -----------------------------------------
+
+    def db_query(self, step, held_explicit, route, rc=None, label=""):
+        if self.breaker is None and self.db_gate is None:
+            return self.inner.db_query(step, held_explicit, route, rc,
+                                       label)
+        return self._guarded_query(step, held_explicit, route, rc, label)
+
+    def _guarded_query(self, step, held_explicit, route, rc, label):
+        per_call = self.site._driver.per_call
+        breaker = self.breaker
         if breaker is not None and not breaker.allow():
             # Fail fast at the driver: one call's worth of client CPU.
-            yield from route.db_client.cpu.execute(site._driver.per_call)
+            yield from route.db_client.cpu.execute(per_call)
             raise CircuitOpenError("database circuit open")
-        gate = state.db_gate
-        if gate is not None and _gate_full(gate, policy.db_backlog):
-            state.backpressure_rejects["db"] += 1
-            yield from route.db_client.cpu.execute(site._driver.per_call)
+        gate = self.db_gate
+        if gate is not None and _gate_full(gate, self.policy.db_backlog):
+            self.backpressure_rejects["db"] += 1
+            yield from route.db_client.cpu.execute(per_call)
             raise BackpressureError("db")
         if gate is not None:
             yield from safe_acquire(gate)
         try:
-            yield from base_db_query(site, step, held_explicit, route,
-                                     rc, label)
+            yield from self.inner.db_query(step, held_explicit, route, rc,
+                                           label)
         except (TierDown, TransientDbError):
             if breaker is not None:
                 breaker.record_failure()
@@ -353,9 +355,8 @@ def install_degradation(site, policy: DegradationPolicy) -> DegradationState:
         except BaseException:
             # Interrupts (deadline expiry mid-query) and anything else:
             # give the probe slot back without biasing the window.
-            if breaker is not None and breaker.state == breaker.HALF_OPEN:
-                breaker._probes_in_flight = max(
-                    0, breaker._probes_in_flight - 1)
+            if breaker is not None:
+                breaker.release_probe()
             raise
         else:
             if breaker is not None:
@@ -364,8 +365,6 @@ def install_degradation(site, policy: DegradationPolicy) -> DegradationState:
             if gate is not None:
                 gate.release()
 
-    site._perform = perform_wrapper
-    site._run_container = container_wrapper
-    site._run_php = php_wrapper
-    site._db_query = db_query_wrapper
-    return state
+
+def _gate_full(gate: Resource, backlog: int) -> bool:
+    return gate.in_use >= gate.capacity and gate.queue_length >= backlog

@@ -1,4 +1,4 @@
-"""Horizontal database partitioning: routing, 2PC, and sharded sites.
+"""Horizontal database partitioning: routing, 2PC, and the shard layer.
 
 The paper scales its write-bound configurations by replicating the
 database, but replication does nothing for the bookstore ordering mix:
@@ -10,8 +10,11 @@ reads, and runs two-phase commit for the cross-shard writes (checkout,
 bid) -- dissolving the table-lock convoy instead of working around it.
 
 Paper configurations and ``DB[1]`` topologies never import this
-package (``build_site`` gates on ``db_shards > 1``); CI asserts it.
+package (``build_site`` installs :class:`ShardLayer` for
+``db_shards > 1`` only); CI asserts it.
 """
+
+from repro.shard.layer import ShardCosts, ShardLayer
 
 from repro.shard.routing import (
     SCHEMES,
@@ -23,6 +26,8 @@ from repro.shard.twopc import ShardStats, TwoPcCoordinator, TwoPcCosts
 
 __all__ = [
     "SCHEMES",
+    "ShardCosts",
+    "ShardLayer",
     "ShardScheme",
     "ShardStats",
     "TwoPcCoordinator",

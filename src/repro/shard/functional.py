@@ -1,6 +1,6 @@
 """The sharded database's functional twin: real SQL over N engines.
 
-The simulation layer (:mod:`repro.shard.site`) prices time; this module
+The simulation layer (:mod:`repro.shard.layer`) prices time; this module
 proves the *semantics* on the real query engine: N independent
 :class:`repro.db.engine.Database` instances, one :class:`Session` per
 shard per connection (explicit-lock state is scoped per instance --

@@ -1,15 +1,15 @@
-"""A clustered site whose database is horizontally partitioned.
+"""The shard layer: a horizontally partitioned database.
 
-:class:`ShardedSite` deploys a ``DB[N]`` topology: N independent write
+:class:`ShardLayer` deploys a ``DB[N]`` topology: N independent write
 primaries, each owning one horizontal slice of the schema's partitioned
 table groups (see :mod:`repro.shard.routing`), each optionally fronted
 by its own replica set (``DB[N](1+R)`` gives every shard R read
-replicas with the cluster tier's log shipping and read-your-writes
+replicas with the cluster layer's log shipping and read-your-writes
 routing).
 
-Shard 1 *is* the base cluster's database -- same machine name (``db``),
+Shard 1 *is* the cluster layer's database -- same machine name (``db``),
 same site-owned lock registry, same ``ReplicatedDb`` -- so every
-mechanism the cluster tier already proved (replica crash rerouting,
+mechanism the cluster layer already proved (replica crash rerouting,
 lag fallbacks, session watermarks) applies per shard unchanged.
 Shards 2..N get private lock registries (``db.s2.items`` ...), which is
 the whole point: a checkout's ``LOCK TABLES`` span now serializes only
@@ -27,8 +27,8 @@ Routing is driver-level, per statement:
   wrote two or more shards the ``UNLOCK`` runs two-phase commit
   (:mod:`repro.shard.twopc`) *before* any lock drops.
 
-``DB[1]`` never constructs this class (``build_site`` dispatches on
-``db_shards > 1``), and nothing here is imported by the paper
+``DB[1]`` never builds this layer (``build_site`` installs it for
+``db_shards > 1`` only), and nothing here is imported by the paper
 configurations -- the import-isolation invariant the CI smoke job
 asserts.
 """
@@ -39,12 +39,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.cluster.balancer import LoadBalancer
+from repro.cluster.layer import ClusterLayer
 from repro.cluster.replication import DbInstance, ReplicatedDb, SessionState
-from repro.cluster.site import ClusteredSite
-from repro.harness.profiles import AppProfile
 from repro.shard.routing import ShardScheme, scheme_for, shard_index
 from repro.shard.twopc import ShardStats, TwoPcCoordinator, TwoPcCosts
-from repro.sim.kernel import Simulator
 from repro.sim.resources import (
     RWLock,
     safe_acquire_read,
@@ -52,6 +50,7 @@ from repro.sim.resources import (
     traced_acquire_lock,
 )
 from repro.sim.rng import RngStreams
+from repro.topology.simulation import SimulatedSite, SiteLayer
 
 #: Span name for a scatter-gather read fan-out.
 SPAN_SCATTER = "db.scatter"
@@ -69,40 +68,52 @@ class ShardCosts:
     twopc: TwoPcCosts = field(default_factory=TwoPcCosts)
 
 
-class ShardedSite(ClusteredSite):
-    """A deployed ``DB[N]`` topology under simulation."""
+class ShardLayer(SiteLayer):
+    """Statement routing over ``DB[N]`` shard primaries."""
 
-    def __init__(self, sim: Simulator, config, profile: AppProfile,
-                 rng: Optional[RngStreams] = None,
+    axis = "shard"
+    wraps = ("db_query", "db_lock", "db_unlock", "table_lock_of",
+             "note_commit", "new_session", "end_session", "mark_up",
+             "crash_victims")
+
+    def __init__(self, site: SimulatedSite, cluster: ClusterLayer,
+                 rng: RngStreams, cache=None,
                  shard_costs: Optional[ShardCosts] = None,
-                 scheme: Optional[ShardScheme] = None, **kwargs):
-        spec = getattr(config, "cluster", None)
-        if spec is None or getattr(spec, "db_shards", 1) <= 1:
-            raise ValueError(f"{config.name!r} has a single shard; use "
-                             f"ClusteredSite")
-        rng = rng if rng is not None else RngStreams(42)
-        super().__init__(sim, config, profile, rng=rng, **kwargs)
+                 scheme: Optional[ShardScheme] = None):
+        config = site.config
+        spec = config.cluster
+        if spec.db_shards <= 1:
+            raise ValueError(f"{config.name!r} has a single shard")
+        super().__init__(site)
+        sim = site.sim
+        self.cluster = cluster
+        # The cache layer, when present, supplies the partition-key
+        # draw: its per-session entity for the group's root table, so
+        # cache keys and shard routing agree on which row a request
+        # touches (a cached checkout page invalidates on the shard that
+        # executed the write).
+        self.cache = cache
         self.shard_costs = shard_costs or ShardCosts()
         self.scheme = scheme if scheme is not None \
-            else scheme_for(profile.app_name)
+            else scheme_for(site.profile.app_name)
         self.n_shards = spec.db_shards
         self.strategy = spec.shard_strategy
         self._session_group_set = frozenset(self.scheme.session_groups) \
             | (frozenset((HOME_GROUP,)) if not self.scheme.groups
                else frozenset())
 
-        # -- shards 2..N (shard 1 is the base cluster's database) -----------
-        is_up = lambda name: name not in self.down   # noqa: E731
-        write_priority = self.costs.db_write_priority
-        repls = [self.repl]
-        replica_names = set(self._db_replica_names)
+        # -- shards 2..N (shard 1 is the cluster layer's database) ----------
+        is_up = lambda name: name not in site.down   # noqa: E731
+        write_priority = site.costs.db_write_priority
+        repls = [cluster.repl]
+        self._db_instances = dict(cluster.db_instances)
         for primary_name in config.db_shard_names()[1:]:
-            machine = self.machines[primary_name]
+            machine = site.machines[primary_name]
             primary = DbInstance(sim, machine,
                                  write_priority=write_priority,
                                  is_primary=True)
             names = config.shard_replica_names(primary_name)
-            replicas = [DbInstance(sim, self.machines[n],
+            replicas = [DbInstance(sim, site.machines[n],
                                    write_priority=write_priority)
                         for n in names]
             balancer = LoadBalancer(
@@ -110,20 +121,18 @@ class ShardedSite(ClusteredSite):
                 policy=spec.db_read_policy,
                 rng=rng.stream(f"shard.lb.{primary_name}"), is_up=is_up)
             repls.append(ReplicatedDb(
-                sim, self, primary, replicas,
+                sim, site, primary, replicas,
                 replication_lag=spec.replication_lag,
                 apply_cost_factor=spec.apply_cost_factor,
                 balancer=balancer))
             self._db_instances[primary_name] = primary
             self._db_instances.update(
                 (r.machine.name, r) for r in replicas)
-            replica_names.update(names)
-        self._shard_repls = tuple(repls)
+        self.shard_repls = tuple(repls)
         self._shard_primaries = tuple(
-            r.primary.machine for r in self._shard_repls)
-        self._db_replica_names = frozenset(replica_names)
+            r.primary.machine for r in self.shard_repls)
         self._shard_of_machine: Dict[str, int] = {}
-        for idx, repl in enumerate(self._shard_repls):
+        for idx, repl in enumerate(self.shard_repls):
             self._shard_of_machine[repl.primary.machine.name] = idx
             for replica in repl.replicas:
                 self._shard_of_machine[replica.machine.name] = idx
@@ -133,14 +142,14 @@ class ShardedSite(ClusteredSite):
         self._shard_sessions: Dict[Tuple[int, int], SessionState] = {}
         # client -> {session group -> shard} (a session is one customer).
         self._session_shards: Dict[int, Dict[str, int]] = {}
-        self.twopc = TwoPcCoordinator(self, self.shard_costs.twopc)
-        self.shard_stats = ShardStats()
+        self.twopc = TwoPcCoordinator(site, self.shard_costs.twopc)
+        self.stats = ShardStats()
 
     # -- sessions -------------------------------------------------------------
 
     def _shard_session(self, client_id: int, shard: int) -> SessionState:
         if shard == 0:
-            return self._session(client_id)
+            return self.cluster.session(client_id)
         key = (client_id, shard)
         session = self._shard_sessions.get(key)
         if session is None:
@@ -149,36 +158,22 @@ class ShardedSite(ClusteredSite):
         return session
 
     def new_session(self, client_id: int, rng) -> None:
-        super().new_session(client_id, rng)
+        self.inner.new_session(client_id, rng)
         self._session_shards.pop(client_id, None)
         for shard in range(1, self.n_shards):
             session = self._shard_sessions.get((client_id, shard))
             if session is not None:
                 session.reset()
-            self._shard_repls[shard].balancer.forget_session(client_id)
+            self.shard_repls[shard].balancer.forget_session(client_id)
 
     def end_session(self, client_id: int) -> None:
-        super().end_session(client_id)
+        self.inner.end_session(client_id)
         self._session_shards.pop(client_id, None)
         for shard in range(1, self.n_shards):
             self._shard_sessions.pop((client_id, shard), None)
-            self._shard_repls[shard].balancer.forget_session(client_id)
+            self.shard_repls[shard].balancer.forget_session(client_id)
 
     # -- routing: group -> shard ----------------------------------------------
-
-    def _route(self, name, client_id, rng):
-        route = super()._route(name, client_id, rng)
-        route.rng = rng
-        route.shard_groups = {}
-        route.span_shards = ()
-        route.shard_writes = set()
-        return route
-
-    def _shard_entity(self, route, group: str, space: int) -> int:
-        """The partition-key entity this request targets in ``group``.
-        The caching subclass reuses its cache-entity draw so cache keys
-        and shard routing agree on which row the request touches."""
-        return route.rng.randrange(space)
 
     def _shard_of_group(self, route, group: str) -> int:
         shard = route.shard_groups.get(group)
@@ -197,8 +192,13 @@ class ShardedSite(ClusteredSite):
         return shard
 
     def _draw_shard(self, route, group: str) -> int:
-        space = max(1, self.profile.key_spaces.get(group, 1_000_000))
-        entity = self._shard_entity(route, group, space)
+        """The shard of the partition-key entity this request targets
+        in ``group``."""
+        space = max(1, self.site.profile.key_spaces.get(group, 1_000_000))
+        if self.cache is not None:
+            entity = self.cache.entity(route, group)
+        else:
+            entity = route.rng.randrange(space)
         return shard_index(group, entity, space, self.n_shards,
                            self.strategy)
 
@@ -227,36 +227,30 @@ class ShardedSite(ClusteredSite):
 
     # -- statement execution ---------------------------------------------------
 
-    def _db_query(self, step, held_explicit, route, rc=None, label=""):
-        writes = step[5]
-        stats = self.shard_stats
+    def db_query(self, step, held_explicit, route, rc=None, label=""):
+        stats = self.stats
         if held_explicit:
             stats.span_statements += 1
-            yield from self._span_statement(step, held_explicit, route,
-                                            rc, label)
-            return
+            return self._span_statement(step, held_explicit, route, rc,
+                                        label)
+        writes = step[5]
         shards, scatter = self._statement_shards(route, step[4], writes)
         if scatter:
             stats.scatter_queries += 1
-            yield from self._scatter_read(step, route, shards, rc, label)
-            return
+            return self._scatter_read(step, route, shards, rc, label)
         shard = shards[0]
         if writes:
             stats.single_shard_writes += 1
-            yield from self._db_access(step, held_explicit, route,
-                                       self._shard_primaries[shard],
-                                       rc, label)
-            return
+            return self.site._db_query(step, held_explicit, route, rc,
+                                       label, self._shard_primaries[shard])
         stats.single_shard_reads += 1
-        repl = self._shard_repls[shard]
+        repl = self.shard_repls[shard]
         if repl.replicas:
-            yield from self._db_read_replicated(
+            return self.cluster.read_replicated(
                 step, route, repl,
                 self._shard_session(route.client_id, shard), rc, label)
-        else:
-            yield from self._db_access(step, {}, route,
-                                       self._shard_primaries[shard],
-                                       rc, label)
+        return self.site._db_query(step, {}, route, rc, label,
+                                   self._shard_primaries[shard])
 
     def _span_statement(self, step, held_explicit, route, rc=None,
                         label=""):
@@ -291,9 +285,9 @@ class ShardedSite(ClusteredSite):
             step[0], db_cpu / n, req_bytes, max(1, rep_bytes // n),
             reads, writes, count)
         for shard in shards:
-            yield from self._db_access(sub, held_explicit, route,
-                                       self._shard_primaries[shard],
-                                       rc, label)
+            yield from self.site._db_query(sub, held_explicit, route, rc,
+                                           label,
+                                           self._shard_primaries[shard])
 
     def _scatter_read(self, step, route, shards, rc=None, label=""):
         """Fan an unrouted read out to every shard *in parallel* and
@@ -309,8 +303,9 @@ class ShardedSite(ClusteredSite):
         ``db_lock_wait_time`` counter still sees every leg's lock wait.
         """
         __, db_cpu, req_bytes, rep_bytes, reads, __w, count = step
+        site = self.site
         n = len(shards)
-        span = rc.push(SPAN_SCATTER, "db", self.db.name,
+        span = rc.push(SPAN_SCATTER, "db", site.db.name,
                        meta={"shards": n, "origin": label}) \
             if rc is not None else None
         route.scatter_shards = shards
@@ -318,7 +313,7 @@ class ShardedSite(ClusteredSite):
         try:
             sub = (step[0], db_cpu / n, req_bytes,
                    max(1, rep_bytes // n), reads, (), count)
-            procs = [self.sim.spawn(
+            procs = [site.sim.spawn(
                 self._scatter_leg(sub, route, shard, outcomes),
                 name=f"scatter.{self._shard_primaries[shard].name}")
                 for shard in shards]
@@ -339,16 +334,16 @@ class ShardedSite(ClusteredSite):
         Failures become data for the joining parent to re-raise -- an
         exception must never escape a spawned generator into the
         kernel."""
-        self.shard_stats.scatter_legs += 1
+        self.stats.scatter_legs += 1
         try:
-            repl = self._shard_repls[shard]
+            repl = self.shard_repls[shard]
             if repl.replicas:
-                yield from self._db_read_replicated(
+                yield from self.cluster.read_replicated(
                     sub, route, repl,
                     self._shard_session(route.client_id, shard))
             else:
-                yield from self._db_access(
-                    sub, {}, route, self._shard_primaries[shard])
+                yield from self.site._db_query(
+                    sub, {}, route, db=self._shard_primaries[shard])
             outcomes.append(("ok", None))
         except BaseException as exc:     # noqa: BLE001 -- relayed, not hidden
             outcomes.append(("err", exc))
@@ -357,18 +352,17 @@ class ShardedSite(ClusteredSite):
 
     def _shard_table_lock(self, shard: int, table: str) -> RWLock:
         if shard == 0:
-            return self.table_lock(table)     # the site registry ("db.*")
-        return self._shard_repls[shard].primary.table_lock(table)
+            return self.site.table_lock(table)   # the site registry ("db.*")
+        return self.shard_repls[shard].primary.table_lock(table)
 
-    def _instance_table_lock(self, db, table: str) -> RWLock:
+    def table_lock_of(self, db, table: str) -> RWLock:
         instance = self._db_instances.get(db.name)
         if instance is not None and not instance.is_primary:
             return instance.table_lock(table)    # replica-local
         return self._shard_table_lock(
             self._shard_of_machine.get(db.name, 0), table)
 
-    def _db_explicit_lock(self, lock_set, held_explicit, route,
-                          rc=None, label=""):
+    def db_lock(self, lock_set, held_explicit, route, rc=None, label=""):
         """LOCK TABLES, partitioned.  Locks are taken only on the span's
         *anchor* shard (where its writes go; globals ride along) and on
         any other shard the span writes -- in sorted table order within
@@ -386,8 +380,9 @@ class ShardedSite(ClusteredSite):
         couple back into one -- partitioning would buy nothing.  Remote
         *writes* (the stock decrement in checkout) keep their span lock
         on the owning primary and commit through 2PC."""
+        site = self.site
         if held_explicit:           # MySQL implicitly releases first
-            self._db_explicit_unlock(held_explicit)
+            site._db_explicit_unlock(held_explicit)
         scheme = self.scheme
         placed = []
         unplaced = []
@@ -408,18 +403,19 @@ class ShardedSite(ClusteredSite):
         locked_shards = write_shards | {anchor}
         participants = tuple(sorted(locked_shards))
         all_shards = {shard for __t, __m, shard in placed}
-        if self.down:
+        if site.down:
             for shard in participants:
-                self._check_up(self._shard_primaries[shard])
+                site._check_up(self._shard_primaries[shard])
         route.span_shards = participants
         route.shard_writes.clear()
         if len(all_shards) > 1:
-            self.shard_stats.cross_shard_spans += 1
+            self.stats.cross_shard_spans += 1
+        sim = site.sim
         for table, mode, shard in sorted(placed):
             if shard not in locked_shards:
                 continue             # remote reference read: no span lock
             lock = self._shard_table_lock(shard, table)
-            waited_from = self.sim.now
+            waited_from = sim.now
             if rc is not None:
                 yield from traced_acquire_lock(lock, mode, rc, lock.name,
                                                "db", label)
@@ -427,13 +423,13 @@ class ShardedSite(ClusteredSite):
                 yield from safe_acquire_write(lock)
             else:
                 yield from safe_acquire_read(lock)
-            self.db_lock_wait_time += self.sim.now - waited_from
+            site.db_lock_wait_time += sim.now - waited_from
             held_explicit[table] = (mode, lock)
         for shard in participants:
             yield from self._shard_primaries[shard].cpu.execute(
-                self.costs.db_lock_statement_cpu)
+                site.costs.db_lock_statement_cpu)
 
-    def _db_unlock_step(self, held_explicit, route, rc=None):
+    def db_unlock(self, held_explicit, route, rc=None):
         """UNLOCK TABLES: when the span wrote two or more shards, run
         two-phase commit across them first -- the decision lands before
         any lock is released.  Any failure (participant down, crash
@@ -447,23 +443,23 @@ class ShardedSite(ClusteredSite):
                 try:
                     yield from self.twopc.transaction(route, machines, rc)
                 except BaseException:
-                    self.shard_stats.twopc_aborts += 1
+                    self.stats.twopc_aborts += 1
                     raise
-                self.shard_stats.twopc_commits += 1
+                self.stats.twopc_commits += 1
         finally:
-            self._db_explicit_unlock(held_explicit)
+            self.site._db_explicit_unlock(held_explicit)
             route.span_shards = ()
             route.shard_writes.clear()
         for shard in participants:
             yield from self._shard_primaries[shard].cpu.execute(
-                self.costs.db_lock_statement_cpu)
+                self.site.costs.db_lock_statement_cpu)
 
     # -- commits ---------------------------------------------------------------
 
-    def _note_commit(self, route, writes, db_cpu: float, db=None) -> None:
+    def note_commit(self, route, writes, db_cpu: float, db=None) -> None:
         shard = self._shard_of_machine.get(
-            db.name if db is not None else self.db.name, 0)
-        repl = self._shard_repls[shard]
+            db.name if db is not None else self.site.db.name, 0)
+        repl = self.shard_repls[shard]
         repl.commit_write(self._shard_session(route.client_id, shard),
                           writes, db_cpu)
         route.writes_committed += 1
@@ -472,28 +468,29 @@ class ShardedSite(ClusteredSite):
     # -- fault surface ---------------------------------------------------------
 
     def mark_up(self, machine_name: str) -> None:
-        super().mark_up(machine_name)
-        for repl in self._shard_repls[1:]:
+        self.inner.mark_up(machine_name)
+        for repl in self.shard_repls[1:]:
             repl.notify_up(machine_name)
 
     def crash_victims(self, machine_name: str) -> list:
         shard = self._shard_of_machine.get(machine_name)
         if shard is not None and shard > 0:
-            primary_name = self._shard_repls[shard].primary.machine.name
+            routes = self.cluster.routes
+            primary_name = self.shard_repls[shard].primary.machine.name
             if machine_name != primary_name:
                 # A shard's replica: with its primary alive, only the
                 # reads it is serving right now die (they reroute).
-                if primary_name not in self.down:
-                    return [proc for proc, route in self._routes.items()
+                if primary_name not in self.site.down:
+                    return [proc for proc, route in routes.items()
                             if not proc.finished
                             and route.db_busy_on == machine_name]
-                return self.inflight_processes()
+                return self.site.inflight_processes()
             # A shard primary: only requests touching that shard die --
             # the fault-isolation upside of partitioning.
-            return [proc for proc, route in self._routes.items()
-                    if not proc.finished and route.shard_groups is not None
+            return [proc for proc, route in routes.items()
+                    if not proc.finished
                     and (shard in route.shard_groups.values()
                          or shard in route.span_shards
                          or shard in route.scatter_shards
                          or route.db_busy_on == machine_name)]
-        return super().crash_victims(machine_name)
+        return self.inner.crash_victims(machine_name)

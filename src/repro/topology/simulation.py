@@ -16,12 +16,22 @@ The contention mechanics are real, not modeled:
   bookstore configurations;
 * sync spans hold named locks in the *container* instead, so database
   readers keep flowing -- the (sync) configurations' advantage.
+
+The site is also the *core* the scale-out axes compose around.  Its
+request path is split into named stages (:data:`STAGES`); a layer --
+one per axis, each in its own package (``repro.cluster``,
+``repro.shard``, ``repro.cache``, ``repro.overload``) -- wraps some of
+them, and :meth:`SimulatedSite.compose` nests the layers once, in the
+fixed :data:`LAYER_ORDER`.  ``site.stages`` then holds the outermost
+handler of every stage; a stage no layer wraps is the core's own bound
+method, so the paper configurations run without any extra frame.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 from repro.harness.profiles import AppProfile, InteractionVariant
 from repro.machine.machine import Machine, MachineSpec
@@ -56,6 +66,58 @@ from repro.web.server import (
     SPAN_REPLY,
     WebServerConfig,
 )
+
+
+#: The named stages of the request path.  Stage ``x`` is the core's method
+#: ``_x``; a layer wrapping it defines ``x`` with the same signature and
+#: reaches the handler beneath it as ``self.inner.x``.
+STAGES = (
+    "dispatch",        # route the request, run the pipeline on the route
+    "perform",         # the pipeline: accept, generate, reply
+    "run_container",   # the AJP crossing into the servlet/EJB container
+    "run_php",         # the PHP module inside the web server process
+    "generate",        # generate the page: script CPU, then replay steps
+    "db_query",        # one statement, on the route's database
+    "db_lock",         # LOCK TABLES
+    "db_unlock",       # UNLOCK TABLES
+    "table_lock_of",   # the table-lock registry of one database machine
+    "note_commit",     # a write statement committed
+    "sync_registry",   # the container sync-lock registry of a route
+    "new_session",
+    "end_session",
+    "mark_up",
+    "mark_down",
+    "crash_victims",
+)
+
+Stages = namedtuple("Stages", STAGES)
+
+#: The order layers nest in, innermost first.  It fixes every ordering
+#: that decides RNG draws and event order: requests route (and re-route)
+#: through the cluster outside everything else; a statement meets the
+#: degradation gate, then the query cache, then shard routing, then
+#: replica routing, then the core; a commit ships the log before the
+#: cache invalidates.
+LAYER_ORDER = ("cluster", "shard", "cache", "degradation")
+
+
+class SiteLayer:
+    """One axis wrapped around a site's stages.
+
+    ``axis`` places the layer in :data:`LAYER_ORDER`; ``wraps`` names the
+    stages it wraps on this site.  :meth:`SimulatedSite.compose` sets
+    ``inner`` to the stage table beneath the layer.  ``stats`` is a
+    counter set with ``snapshot()``/``delta()`` that the experiment
+    reports over the measurement window as ``point.<axis>``, or None.
+    """
+
+    axis = ""
+    wraps: tuple = ()
+    stats = None
+
+    def __init__(self, site: "SimulatedSite"):
+        self.site = site
+        self.inner: Optional[Stages] = None
 
 
 @dataclass(frozen=True)
@@ -160,6 +222,31 @@ class SimulatedSite:
         # The machine that issues database queries.
         self.db_client = self.ejb if config.flavor == "ejb" else self.gen
 
+        self.layers: tuple = ()
+        self.stages = Stages(*(getattr(self, "_" + name) for name in STAGES))
+
+    def compose(self, layers: Sequence[SiteLayer]) -> None:
+        """Nest ``layers`` around the core, innermost first in
+        :data:`LAYER_ORDER`.  Done once, when the site is built."""
+        if self.layers:
+            raise RuntimeError("the site's layers are already composed")
+        ordered = sorted(layers, key=lambda layer: LAYER_ORDER.index(
+            layer.axis))
+        stages = self.stages
+        for layer in ordered:
+            layer.inner = stages
+            stages = stages._replace(
+                **{name: getattr(layer, name) for name in layer.wraps})
+        self.layers = tuple(ordered)
+        self.stages = stages
+
+    def layer(self, axis: str) -> Optional[SiteLayer]:
+        """The installed layer of ``axis``, or None."""
+        for layer in self.layers:
+            if layer.axis == axis:
+                return layer
+        return None
+
     # -- lock tables ---------------------------------------------------------------
 
     def table_lock(self, table: str) -> RWLock:
@@ -172,17 +259,12 @@ class SimulatedSite:
         return lock
 
     def sync_lock(self, name: str, route=None) -> RWLock:
-        registry = self._sync_registry(route)
+        registry = self.stages.sync_registry(route)
         lock = registry.get(name)
         if lock is None:
             lock = RWLock(self.sim, write_priority=True, name=f"sync.{name}")
             registry[name] = lock
         return lock
-
-    def _sync_registry(self, route) -> Dict[str, RWLock]:
-        """Registry holding the container sync locks for this route.
-        One registry here; one per servlet-engine replica in a cluster."""
-        return self._sync_locks
 
     # -- fault-injection surface (driven by repro.faults.FaultInjector) -------------
 
@@ -193,6 +275,9 @@ class SimulatedSite:
 
     def mark_down(self, machine_name: str) -> None:
         """Crash one machine: new requests through it fail fast."""
+        self.stages.mark_down(machine_name)
+
+    def _mark_down(self, machine_name: str) -> None:
         if machine_name not in self.machines:
             raise KeyError(f"configuration {self.config.name!r} has no "
                            f"machine {machine_name!r}")
@@ -200,6 +285,9 @@ class SimulatedSite:
 
     def mark_up(self, machine_name: str) -> None:
         """Restart a crashed machine (no-op if it was up)."""
+        self.stages.mark_up(machine_name)
+
+    def _mark_up(self, machine_name: str) -> None:
         self.down.discard(machine_name)
 
     def inflight_processes(self) -> list:
@@ -210,10 +298,13 @@ class SimulatedSite:
         """Processes to interrupt when ``machine_name`` crashes.
 
         With one machine per tier every in-flight interaction dies with
-        it; a clustered site narrows this to the requests actually
+        it; the cluster layer narrows this to the requests actually
         routed through the crashed pool member so the survivors keep
         running on their replicas.
         """
+        return self.stages.crash_victims(machine_name)
+
+    def _crash_victims(self, machine_name: str) -> list:
         return self.inflight_processes()
 
     def begin_db_glitch(self) -> None:
@@ -229,11 +320,19 @@ class SimulatedSite:
     # -- client API ------------------------------------------------------------------
 
     def new_session(self, client_id: int, rng) -> None:
-        """Session start: nothing to do (connections are pooled)."""
+        """Session start (a client's first interaction follows)."""
+        self.stages.new_session(client_id, rng)
+
+    def _new_session(self, client_id: int, rng) -> None:
+        """Nothing to do: connections are pooled."""
 
     def end_session(self, client_id: int) -> None:
-        """Session end: nothing to keep per session here (a clustered
-        site drops the session's balancer affinity bindings)."""
+        """Session end (the cluster layer drops the session's balancer
+        affinity bindings)."""
+        self.stages.end_session(client_id)
+
+    def _end_session(self, client_id: int) -> None:
+        """Nothing to keep per session here."""
 
     def perform(self, client_id: int, name: str, rng):
         """Simulator process: execute one interaction end to end.
@@ -252,7 +351,7 @@ class SimulatedSite:
         rc = tracer.begin_request(name, client_id) \
             if tracer is not None else None
         try:
-            yield from self._dispatch(variant, name, client_id, rng)
+            yield from self.stages.dispatch(variant, name, client_id, rng)
         finally:
             if proc is not None:
                 self._inflight.pop(proc, None)
@@ -262,27 +361,17 @@ class SimulatedSite:
                 rc.close()
         self.interactions_done += 1
 
-    # -- routing (repro.cluster overrides these hooks) -------------------------------
-
-    def _route(self, name: str, client_id: int, rng):
-        """Pick the machines serving this request (``name`` is the
-        interaction).  The base site is its own (only) route:
-        ``route.web`` / ``route.gen`` / ``route.db`` / ``route.ejb`` /
-        ``route.db_client`` / ``route.web_processes`` resolve to the
-        fixed tier attributes, and nothing is allocated per request."""
-        return self
-
-    def _end_route(self, route) -> None:
-        """Release per-request routing state (balancer slots); no-op
-        when the site is its own route."""
+    # -- the request path (stages) -----------------------------------------------------
 
     def _dispatch(self, variant: InteractionVariant, name: str,
                   client_id: int, rng):
-        route = self._route(name, client_id, rng)
-        try:
-            yield from self._perform(variant, name, rng, route)
-        finally:
-            self._end_route(route)
+        """Pick the machines serving this request and run the pipeline
+        on them.  The single-machine site is its own (only) route:
+        ``route.web`` / ``route.gen`` / ``route.db`` / ``route.ejb`` /
+        ``route.db_client`` / ``route.web_processes`` resolve to the
+        fixed tier attributes.  A plain call handing back the pipeline,
+        so it adds no generator frame."""
+        return self.stages.perform(variant, name, rng, self)
 
     def _perform(self, variant: InteractionVariant, name: str, rng, route):
         costs = self.costs
@@ -328,9 +417,10 @@ class SimulatedSite:
                 yield from web.cpu.execute(web_cpu)
 
                 if self.config.flavor == "php":
-                    yield from self._run_php(variant, rng, route, rc)
+                    yield from self.stages.run_php(variant, rng, route, rc)
                 else:
-                    yield from self._run_container(variant, rng, route, rc)
+                    yield from self.stages.run_container(variant, rng, route,
+                                                         rc)
             finally:
                 if span is not None:
                     rc.pop(span)
@@ -357,20 +447,12 @@ class SimulatedSite:
         finally:
             web_processes.release()
 
-    # -- generator execution ------------------------------------------------------------
-
     def _run_php(self, variant: InteractionVariant, rng, route, rc=None):
         """PHP module: everything happens in the web server process."""
-        php = self.php_costs
-        web = route.web
         span = rc.push("php.script", "phase", "web") \
             if rc is not None else None
         try:
-            yield from web.cpu.execute(
-                php.per_request +
-                variant.response_bytes * php.per_output_byte +
-                variant.query_count * php.per_query_call)
-            yield from self._replay_steps(variant, rng, route, rc)
+            yield from self.stages.generate(variant, rng, route, rc)
         finally:
             if span is not None:
                 rc.pop(span)
@@ -391,14 +473,7 @@ class SimulatedSite:
         span = rc.push("servlet.engine", "phase", gen.name) \
             if rc is not None else None
         try:
-            servlet = self.servlet_costs
-            yield from gen.cpu.execute(
-                servlet.per_request +
-                variant.response_bytes * servlet.per_output_byte)
-            if self.config.flavor != "ejb":
-                yield from gen.cpu.execute(
-                    variant.query_count * servlet.per_query_call)
-            yield from self._replay_steps(variant, rng, route, rc)
+            yield from self.stages.generate(variant, rng, route, rc)
         finally:
             if span is not None:
                 rc.pop(span)
@@ -435,10 +510,27 @@ class SimulatedSite:
             if span is not None:
                 rc.pop(span)
 
-    # -- step replay ---------------------------------------------------------------------
+    def _generate(self, variant: InteractionVariant, rng, route, rc=None):
+        """Generate the page: the PHP script's or the servlet's own CPU,
+        then replay the profile's steps (queries, locks, RMI calls)."""
+        flavor = self.config.flavor
+        if flavor == "php":
+            php = self.php_costs
+            yield from route.web.cpu.execute(
+                php.per_request +
+                variant.response_bytes * php.per_output_byte +
+                variant.query_count * php.per_query_call)
+        else:
+            servlet = self.servlet_costs
+            gen = route.gen
+            yield from gen.cpu.execute(
+                servlet.per_request +
+                variant.response_bytes * servlet.per_output_byte)
+            if flavor != "ejb":
+                yield from gen.cpu.execute(
+                    variant.query_count * servlet.per_query_call)
 
-    def _replay_steps(self, variant: InteractionVariant, rng, route,
-                      rc=None):
+        stages = self.stages
         held_explicit: Dict[str, str] = {}
         held_sync: list = []
         key_draws: Dict[int, int] = {}
@@ -449,15 +541,13 @@ class SimulatedSite:
                 for step in variant.steps:
                     kind = step[0]
                     if kind == "query":
-                        yield from self._db_query(step, held_explicit,
-                                                  route)
+                        yield from stages.db_query(step, held_explicit,
+                                                   route)
                     elif kind == "lock":
-                        yield from self._db_explicit_lock(step[1],
-                                                          held_explicit,
-                                                          route)
+                        yield from stages.db_lock(step[1], held_explicit,
+                                                  route)
                     elif kind == "unlock":
-                        yield from self._db_unlock_step(held_explicit,
-                                                        route)
+                        yield from stages.db_unlock(held_explicit, route)
                     elif kind == "sync_acquire":
                         yield from self._sync_acquire(step[1], held_sync,
                                                       rng, key_draws, route)
@@ -476,14 +566,13 @@ class SimulatedSite:
                     label = labels[i] if i < nlabels else ""
                     kind = step[0]
                     if kind == "query":
-                        yield from self._db_query(step, held_explicit,
-                                                  route, rc, label)
+                        yield from stages.db_query(step, held_explicit,
+                                                   route, rc, label)
                     elif kind == "lock":
-                        yield from self._db_explicit_lock(
-                            step[1], held_explicit, route, rc, label)
+                        yield from stages.db_lock(step[1], held_explicit,
+                                                  route, rc, label)
                     elif kind == "unlock":
-                        yield from self._db_unlock_step(held_explicit,
-                                                        route, rc)
+                        yield from stages.db_unlock(held_explicit, route, rc)
                     elif kind == "sync_acquire":
                         yield from self._sync_acquire(step[1], held_sync,
                                                       rng, key_draws, route,
@@ -505,17 +594,16 @@ class SimulatedSite:
                 self._sync_release([name for name, __, __ in held_sync],
                                    held_sync, route)
 
-    def _db_query(self, step, held_explicit, route, rc=None, label=""):
-        yield from self._db_access(step, held_explicit, route,
-                                   self._db_target(route), rc, label)
+    # -- database ------------------------------------------------------------------------
 
-    def _db_target(self, route):
-        """Database machine serving this statement; the clustered site
-        splits reads off to replicas here."""
-        return route.db
-
-    def _db_access(self, step, held_explicit, route, db, rc=None, label=""):
+    def _db_query(self, step, held_explicit, route, rc=None, label="",
+                  db=None):
+        """Run one statement on database machine ``db`` (default: the
+        route's).  The layers route statements by calling this with the
+        machine they picked."""
         __, db_cpu, request_bytes, reply_bytes, reads, writes, count = step
+        if db is None:
+            db = route.db
         issuer = route.db_client
         driver = self._driver
         if self.down:
@@ -540,7 +628,7 @@ class SimulatedSite:
                     write_set = sorted(set(writes))
                     read_set = sorted(set(reads) - set(writes))
                     for table in sorted(set(write_set) | set(read_set)):
-                        lock = self._instance_table_lock(db, table)
+                        lock = self.stages.table_lock_of(db, table)
                         mode = "WRITE" if table in write_set else "READ"
                         waited_from = self.sim.now
                         if rc is not None:
@@ -560,15 +648,15 @@ class SimulatedSite:
                     else:
                         lock.release_read()
             if writes:
-                self._note_commit(route, writes, db_cpu, db)
+                self.stages.note_commit(route, writes, db_cpu, db)
             yield from self.lan.transfer(db, issuer, reply_bytes)
         finally:
             if span is not None:
                 rc.pop(span)
 
-    def _instance_table_lock(self, db, table: str) -> RWLock:
+    def _table_lock_of(self, db, table: str) -> RWLock:
         """Table-lock registry of the database machine ``db``; one
-        registry here, one per replica in a cluster."""
+        registry here, one per database instance in a cluster."""
         return self.table_lock(table)
 
     def _note_commit(self, route, writes, db_cpu: float, db=None) -> None:
@@ -576,8 +664,7 @@ class SimulatedSite:
         replicated DB ships it to the replicas.  Nothing to do with a
         single database."""
 
-    def _db_explicit_lock(self, lock_set, held_explicit, route,
-                          rc=None, label=""):
+    def _db_lock(self, lock_set, held_explicit, route, rc=None, label=""):
         """LOCK TABLES: take every lock (sorted order prevents deadlock),
         hold until UNLOCK TABLES.  ``held_explicit`` maps each table to
         ``(mode, lock)`` so release never needs a registry lookup (a
@@ -608,12 +695,19 @@ class SimulatedSite:
                 lock.release_read()
         held_explicit.clear()
 
-    def _db_unlock_step(self, held_explicit, route, rc=None):
+    def _db_unlock(self, held_explicit, route, rc=None):
         """UNLOCK TABLES: release the span's locks, charge the statement.
-        The sharded site interposes its two-phase commit here -- the
+        The shard layer interposes its two-phase commit here -- the
         decision happens *before* any lock is released."""
         self._db_explicit_unlock(held_explicit)
         yield from route.db.cpu.execute(self.costs.db_lock_statement_cpu)
+
+    # -- container ------------------------------------------------------------------------
+
+    def _sync_registry(self, route) -> Dict[str, RWLock]:
+        """Registry holding the container sync locks for this route.
+        One registry here; one per servlet-engine replica in a cluster."""
+        return self._sync_locks
 
     def _sync_acquire(self, lock_set, held_sync, rng, key_draws, route,
                       rc=None, label=""):
@@ -654,7 +748,7 @@ class SimulatedSite:
             held_sync.append((name, mode, lock))
 
     def _sync_release(self, names, held_sync, route):
-        registry = self._sync_registry(route)
+        registry = self.stages.sync_registry(route)
         for name, mode, lock in list(held_sync):
             if mode == "WRITE":
                 lock.release_write()
@@ -697,7 +791,6 @@ class SimulatedSite:
     def _ejb_work(self, loads, stores, fields, route, rc=None, label=""):
         k = self.ejb_costs
         ejb = route.ejb
-        queries = 0  # driver costs are charged per query step
         cpu = (k.per_method + loads * k.per_entity_load +
                stores * k.per_entity_store + fields * k.per_field_access)
         span = rc.push("ejb.work", "ejb", ejb.name,

@@ -31,11 +31,10 @@ machines; extra pool members are "web#2", "servlet#3", ...; database
 read replicas are "db.r1", "db.r2", ...; cache nodes are "cache",
 "cache#2", ....
 
-``ClusterSpec`` / ``ClusterConfiguration`` / :func:`clustered` /
-:func:`parse_cluster_name` remain as thin deprecated aliases (re-exported
-from :mod:`repro.cluster.spec`) with their historical behavior --
-``clustered`` always returns a ``ClusterConfiguration`` and always spells
-the ``(1+N)`` suffix, even for a trivial spec.
+:func:`clustered` and :func:`parse_cluster_name` keep the historical
+cluster-axis contracts: ``clustered`` always returns a
+:class:`TopologyConfiguration` and always spells the ``(1+N)`` suffix,
+even for a trivial spec.
 """
 
 from __future__ import annotations
@@ -170,8 +169,7 @@ class TopologyConfiguration(Configuration):
     ``placement`` still maps roles to the *first* pool member, so every
     role accessor of the base class keeps working; :meth:`pool` lists a
     role's full pool.  The field is named ``cluster`` for continuity with
-    the old ``ClusterConfiguration`` API; :attr:`topology` is the
-    preferred alias.
+    the original cluster axis; :attr:`topology` is the preferred alias.
     """
 
     cluster: TopologySpec = field(default_factory=TopologySpec)
@@ -299,7 +297,7 @@ def _spec_from_args(spec, kwargs) -> TopologySpec:
     if spec is None:
         return TopologySpec(**kwargs)
     if kwargs:
-        raise ValueError("pass either a ClusterSpec or keyword arguments, "
+        raise ValueError("pass either a TopologySpec or keyword arguments, "
                          "not both")
     return spec
 

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from repro.apps.bookstore import BookstoreApp, build_bookstore_database
 from repro.cache.functional import CachedDeployment, CachingConnection
 from repro.cache.lru import ENTRY_OVERHEAD_BYTES, LruStore
-from repro.cache.site import CachedClusteredSite
 from repro.cache.tier import CacheTierStats, shard_index
 from repro.db import Column, ColumnType, Database, TableSchema
 from repro.db.driver import NativeDriver
@@ -230,18 +229,18 @@ def test_round_robin_mode_replicates_stores(app, profiles):
 
 
 def test_disabled_cache_builds_the_plain_site_types(app, profiles):
-    from repro.cluster.site import ClusteredSite
+    """One site class; the cache layer is installed only with cache
+    nodes, and the paper configuration gets no layer at all."""
     from repro.topology.simulation import SimulatedSite
 
-    paper = topology("Ws-Servlet-DB", TopologySpec())
-    site = build_site(Simulator(), _spec(paper, profiles, app))
-    assert type(site) is SimulatedSite
-    cluster = topology("Ws-Servlet-DB", TopologySpec(web=2))
-    site = build_site(Simulator(), _spec(cluster, profiles, app))
-    assert type(site) is ClusteredSite
-    cached = topology("Ws-Servlet-DB", TopologySpec(**CACHED_CONFIG_KW))
-    site = build_site(Simulator(), _spec(cached, profiles, app))
-    assert type(site) is CachedClusteredSite
+    for spec, axes in ((TopologySpec(), []),
+                       (TopologySpec(web=2), ["cluster"]),
+                       (TopologySpec(**CACHED_CONFIG_KW),
+                        ["cluster", "cache"])):
+        config = topology("Ws-Servlet-DB", spec)
+        site = build_site(Simulator(), _spec(config, profiles, app))
+        assert type(site) is SimulatedSite
+        assert [layer.axis for layer in site.layers] == axes, config.name
 
 
 def test_plain_runs_never_import_the_cache_package():
@@ -279,9 +278,8 @@ def test_cache_node_crash_degrades_and_leaves_the_system_clean(app, profiles):
     plan = FaultPlan((FaultEvent(kind="crash", tier="cache", at=20.0,
                                  duration=15.0),))
     sim = Simulator()
-    site = CachedClusteredSite(sim, config,
-                               profiles[config.profile_flavor],
-                               rng=RngStreams(7))
+    site = build_site(sim, _spec(config, profiles, app, seed=7))
+    cache = site.layer("cache")
     population = ClientPopulation(
         sim, 8, app.mix("browsing"), site, RngStreams(7),
         choose_interaction, retry=RetryPolicy(deadline=5.0, max_retries=2))
@@ -290,8 +288,8 @@ def test_cache_node_crash_degrades_and_leaves_the_system_clean(app, profiles):
     sim.run(until=90.0)
     population.stop()
     sim.run()
-    assert site.cache.stats.node_flushes == 1
-    assert site.cache.stats.query_hits + site.cache.stats.page_hits > 0
+    assert cache.stats.node_flushes == 1
+    assert cache.stats.query_hits + cache.stats.page_hits > 0
     assert all(p.finished for p in population._procs), "stuck client"
     assert not site.inflight_processes(), "stuck in-flight interaction"
     for lock in site._table_locks.values():

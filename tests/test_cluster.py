@@ -7,20 +7,22 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.cluster import (
-    ClusterSpec,
     DbInstance,
     LoadBalancer,
     ReplicatedDb,
     SessionState,
-    clustered,
-    parse_cluster_name,
-    resolve_configuration,
 )
 from repro.faults.errors import TierDown
 from repro.machine.machine import Machine
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
 from repro.topology.configs import ALL_CONFIGURATIONS, Configuration
+from repro.topology.spec import (
+    TopologySpec,
+    clustered,
+    parse_cluster_name,
+    resolve_configuration,
+)
 
 # -- spec and naming -----------------------------------------------------------
 
@@ -93,12 +95,12 @@ def test_resolve_configuration_spans_both_namespaces():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        ClusterSpec(web=0).validate()
+        TopologySpec(web=0).validate()
     with pytest.raises(ValueError):
-        ClusterSpec(db_replicas=-1).validate()
+        TopologySpec(db_replicas=-1).validate()
     with pytest.raises(ValueError):
-        ClusterSpec(web_policy="random").validate()
-    ClusterSpec(web=2, gen=2, db_replicas=4).validate()
+        TopologySpec(web_policy="random").validate()
+    TopologySpec(web=2, gen=2, db_replicas=4).validate()
 
 
 # -- load balancer units -------------------------------------------------------

@@ -8,8 +8,6 @@ import pytest
 
 from repro.apps import build_app
 from repro.apps.bookstore import BookstoreApp, build_bookstore_database
-from repro.cluster import ClusterSpec, clustered
-from repro.cluster.site import ClusteredSite
 from repro.db.driver import JdbcLikeDriver, ReadWriteSplitConnection
 from repro.faults.plan import FaultPlan
 from repro.harness.experiment import ExperimentSpec, build_site, run_experiment
@@ -18,6 +16,7 @@ from repro.sim import Simulator
 from repro.sim.rng import RngStreams
 from repro.topology.configs import ALL_CONFIGURATIONS, configuration_by_name
 from repro.topology.simulation import SimulatedSite
+from repro.topology.spec import TopologySpec, clustered
 from repro.workload.client import (
     ClientPopulation,
     RetryPolicy,
@@ -77,9 +76,11 @@ def test_faulted_trivial_cluster_matches_base(app, profiles):
 
 def _drive_cluster(profiles, app, config, n_clients=8, until=90.0,
                    plan=None, retry=None, seed=11, think=None):
+    """Run a bare population on the cluster; returns the simulator and
+    the site's cluster layer."""
     sim = Simulator()
-    site = ClusteredSite(sim, config, profiles[config.profile_flavor],
-                         rng=RngStreams(seed))
+    site = build_site(sim, _spec(config, profiles, app, clients=n_clients,
+                                 seed=seed))
     population = ClientPopulation(
         sim, n_clients, app.mix("shopping"), site, RngStreams(seed),
         choose_interaction, think=think, retry=retry)
@@ -88,7 +89,7 @@ def _drive_cluster(profiles, app, config, n_clients=8, until=90.0,
         FaultInjector(sim, site, plan).start()
     population.start()
     sim.run(until=until)
-    return sim, site
+    return sim, site.layer("cluster")
 
 
 def test_replicated_run_is_deterministic(app, profiles):
@@ -103,10 +104,10 @@ def test_replicated_run_is_deterministic(app, profiles):
 
 def test_replicated_run_uses_every_member(app, profiles):
     config = clustered("Ws-Servlet-DB", web=2, gen=2, db_replicas=2)
-    __, site = _drive_cluster(profiles, app, config)
-    assert all(count > 0 for count in site.web_lb.served.values())
-    assert all(count > 0 for count in site.gen_lb.served.values())
-    assert all(r.reads_served > 0 for r in site.repl.replicas)
+    __, cluster = _drive_cluster(profiles, app, config)
+    assert all(count > 0 for count in cluster.web_lb.served.values())
+    assert all(count > 0 for count in cluster.gen_lb.served.values())
+    assert all(r.reads_served > 0 for r in cluster.repl.replicas)
 
 
 def test_gen_member_crash_reroutes_through_balancer(app, profiles):
@@ -115,13 +116,13 @@ def test_gen_member_crash_reroutes_through_balancer(app, profiles):
     config = clustered("Ws-Servlet-DB", web=2, gen=2)
     plan = FaultPlan.single_crash("servlet#2", at=30.0, duration=20.0)
     # short think time keeps requests in flight at the crash instant
-    __, site = _drive_cluster(
+    __, cluster = _drive_cluster(
         profiles, app, config, n_clients=40, until=120.0, plan=plan,
         think=ThinkTimeSpec(think_mean=0.3),
         retry=RetryPolicy(deadline=10.0, max_retries=3))
-    assert site.reroutes > 0
+    assert cluster.reroutes > 0
     # the crashed member rejoined and both engines served requests
-    assert all(count > 0 for count in site.gen_lb.served.values())
+    assert all(count > 0 for count in cluster.gen_lb.served.values())
 
 
 def test_db_replica_crash_rejoin_catches_up(app, profiles):
@@ -129,13 +130,13 @@ def test_db_replica_crash_rejoin_catches_up(app, profiles):
     replays the log and converges with the primary."""
     config = clustered("Ws-Servlet-DB", web=1, gen=1, db_replicas=2)
     plan = FaultPlan.single_crash("db.r1", at=30.0, duration=20.0)
-    sim, site = _drive_cluster(
+    sim, cluster = _drive_cluster(
         profiles, app, config, until=200.0, plan=plan,
         retry=RetryPolicy(deadline=10.0, max_retries=3))
     sim.run(until=sim.now + 60.0)       # drain: lag + catch-up applies
-    assert site.repl.commit_seq > 0
-    for replica in site.repl.replicas:
-        assert replica.applied_seq == site.repl.commit_seq
+    assert cluster.repl.commit_seq > 0
+    for replica in cluster.repl.replicas:
+        assert replica.applied_seq == cluster.repl.commit_seq
 
 
 # -- functional read/write splitting ------------------------------------------
@@ -182,7 +183,7 @@ def test_split_connection_lock_span_stays_on_primary(split_conn):
 
 def test_build_app_deploys_a_pool():
     app, pool = build_app("bookstore", "servlet",
-                          cluster=ClusterSpec(web=2, gen=2),
+                          cluster=TopologySpec(web=2, gen=2),
                           scale=0.002, tiny=True)
     assert len(pool) == 2
     assert pool[0] is not pool[1]
@@ -207,9 +208,11 @@ def test_build_site_dispatches_on_cluster_axis(app, profiles):
     sim = Simulator()
     plain = build_site(sim, _spec(base, profiles, app))
     assert type(plain) is SimulatedSite
+    assert plain.layers == ()
     clustered_site = build_site(
         Simulator(), _spec(clustered(base, web=2), profiles, app))
-    assert isinstance(clustered_site, ClusteredSite)
+    assert type(clustered_site) is SimulatedSite
+    assert [layer.axis for layer in clustered_site.layers] == ["cluster"]
 
 
 # -- CLI validation ------------------------------------------------------------

@@ -22,6 +22,7 @@ from repro.overload import (
     AbandonmentSpec,
     BreakerPolicy,
     CircuitBreaker,
+    DegradationLayer,
     DegradationPolicy,
     DiurnalProfile,
     FlashCrowdProfile,
@@ -30,7 +31,6 @@ from repro.overload import (
     OverloadSpec,
     PoissonProfile,
     ThinkTimeModel,
-    install_degradation,
 )
 from repro.sim import Simulator
 from repro.sim.rng import RngStreams
@@ -234,6 +234,23 @@ def test_breaker_half_open_probe_failure_reopens():
     assert breaker.allow()
 
 
+def test_breaker_release_probe_returns_a_half_open_slot():
+    sim, breaker = _tripped_breaker()
+    breaker.release_probe()             # open: nothing to give back
+    sim.now = 5.0
+    assert breaker.allow() and breaker.allow()
+    assert not breaker.allow()          # both probe slots taken
+    breaker.release_probe()             # one probe was interrupted
+    assert breaker.state == breaker.HALF_OPEN
+    assert breaker.allow()              # its slot is free again
+    assert breaker.trips == 1           # and the window is unbiased
+    breaker.release_probe()
+    breaker.release_probe()
+    breaker.release_probe()             # never below zero
+    assert breaker.allow() and breaker.allow()
+    assert not breaker.allow()
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(window=0), dict(min_calls=0), dict(trip_threshold=0.0),
     dict(trip_threshold=1.5), dict(reset_timeout=0.0),
@@ -308,6 +325,14 @@ def test_circuit_breaker_connection_validation(kwargs):
 
 # -- degradation policy + installation ----------------------------------------
 
+def _degraded_site(sim, profile, policy):
+    """The PHP core site with only the degradation layer composed."""
+    site = SimulatedSite(sim, WS_PHP_DB, profile)
+    state = DegradationLayer(site, policy)
+    site.compose([state])
+    return site, state
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(container_concurrency=0), dict(container_backlog=-1),
     dict(db_concurrency=0), dict(db_backlog=-1),
@@ -320,8 +345,7 @@ def test_degradation_policy_validation(kwargs):
 
 def test_open_breaker_degrades_browses_but_not_orders(php_profile):
     sim = Simulator()
-    site = SimulatedSite(sim, WS_PHP_DB, php_profile)
-    state = install_degradation(site, DegradationPolicy())
+    site, state = _degraded_site(sim, php_profile, DegradationPolicy())
     state.breaker._trip()               # database is misbehaving
 
     sim.spawn(site.perform(0, "home", random.Random(1)))
@@ -348,11 +372,10 @@ def test_open_breaker_degrades_browses_but_not_orders(php_profile):
 
 def test_container_gate_sheds_with_busy_page(php_profile):
     sim = Simulator()
-    site = SimulatedSite(sim, WS_PHP_DB, php_profile)
     policy = DegradationPolicy(container_concurrency=1, container_backlog=0,
                                db_concurrency=None, breaker=None,
                                shed_queue_threshold=None)
-    state = install_degradation(site, policy)
+    site, state = _degraded_site(sim, php_profile, policy)
     rejected = []
 
     def client(i):
@@ -375,11 +398,10 @@ def test_container_gate_sheds_with_busy_page(php_profile):
 
 def test_db_gate_backpressure(php_profile):
     sim = Simulator()
-    site = SimulatedSite(sim, WS_PHP_DB, php_profile)
     policy = DegradationPolicy(container_concurrency=None,
                                db_concurrency=1, db_backlog=0,
                                breaker=None, shed_queue_threshold=None)
-    state = install_degradation(site, policy)
+    site, state = _degraded_site(sim, php_profile, policy)
     rejected = []
 
     def client(i):
@@ -400,8 +422,7 @@ def test_db_gate_backpressure(php_profile):
 
 def test_all_levers_disabled_changes_nothing(php_profile):
     sim = Simulator()
-    site = SimulatedSite(sim, WS_PHP_DB, php_profile)
-    state = install_degradation(site, DegradationPolicy(
+    site, state = _degraded_site(sim, php_profile, DegradationPolicy(
         container_concurrency=None, db_concurrency=None, breaker=None,
         shed_queue_threshold=None))
     assert state.container_gate is None
@@ -414,18 +435,20 @@ def test_all_levers_disabled_changes_nothing(php_profile):
     assert state.degraded_served == 0
 
 
-def test_degradation_on_clustered_site(php_profile):
-    from repro.cluster.site import ClusteredSite
-    from repro.cluster.spec import clustered
+def test_degradation_on_clustered_site(app, php_profile):
+    from repro.topology.spec import clustered
     sim = Simulator()
     config = clustered(WS_PHP_DB, web=2, db_replicas=1)
-    site = ClusteredSite(sim, config, php_profile, rng=RngStreams(4))
-    state = install_degradation(site, DegradationPolicy())
+    site = build_site(sim, ExperimentSpec(
+        config=config, profile=php_profile, mix=app.mix("shopping"),
+        clients=1, seed=4, degradation=DegradationPolicy()))
+    state = site.layer("degradation")
     state.breaker._trip()
     sim.spawn(site.perform(0, "home", random.Random(1)))
     sim.run()
-    # Cluster routing (a class-level _perform override) still runs
-    # underneath the instance-attribute wrapper.
+    # Cluster routing still runs beneath the degradation layer.
+    assert [layer.axis for layer in site.layers] == ["cluster",
+                                                     "degradation"]
     assert state.degraded_served == 1
     assert site.interactions_done == 1
 
@@ -520,16 +543,48 @@ def test_run_open_loop_deterministic(app, php_profile):
     assert one.kernel_events == two.kernel_events
 
 
+@pytest.mark.parametrize("axis,kwargs", [
+    ("cache", dict(cache_nodes=1, cache_mb=8.0)),
+    ("shard", dict(db_shards=2)),
+])
+def test_open_loop_point_carries_axis_counters(app, php_profile, axis,
+                                               kwargs):
+    """Open- and closed-loop points report the same axis counters over
+    the measurement window."""
+    from repro.topology.spec import topology
+    spec = ExperimentSpec(
+        config=topology(WS_PHP_DB, **kwargs), profile=php_profile,
+        mix=app.mix("shopping"), clients=0, ramp_up=3.0, measure=15.0,
+        ramp_down=2.0,
+        overload=OverloadSpec(arrivals=PoissonProfile(rate=2.0),
+                              think=ThinkTimeModel(mean=1.0),
+                              session_mean=10.0))
+    point = run_experiment(spec)
+    assert point.slo.windows_total > 0
+    counters = getattr(point, axis, None)
+    assert counters is not None, f"open-loop point lost point.{axis}"
+    if axis == "cache":
+        assert counters.query_lookups + counters.page_lookups > 0
+    else:
+        assert counters.single_shard_reads > 0
+
+
 def test_closed_loop_leaves_site_unwrapped(php_profile):
-    """Without a policy the hot-path methods stay class-level -- the
+    """Without a policy every stage is the core's own method -- the
     degradation layer adds zero frames, zero RNG, zero events."""
+    from repro.topology.simulation import STAGES
     sim = Simulator()
     spec = ExperimentSpec(config=WS_PHP_DB, profile=php_profile,
                           mix={"home": 1.0}, clients=1)
     site = build_site(sim, spec)
     for name in ("_perform", "_run_container", "_run_php", "_db_query"):
         assert name not in vars(site), f"{name} wrapped without a policy"
-    assert not hasattr(site, "degradation")
+    assert site.layers == ()
+    for name in STAGES:
+        handler = getattr(site.stages, name)
+        assert handler.__self__ is site, f"{name} wrapped without a policy"
+        assert handler.__func__ is getattr(SimulatedSite, "_" + name)
+    assert site.layer("degradation") is None
 
 
 def test_closed_loop_never_imports_overload_package():

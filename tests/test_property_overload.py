@@ -14,6 +14,7 @@ from repro.metrics.slo import SloSeries, SloSpec
 from repro.overload import (
     AbandonmentSpec,
     BreakerPolicy,
+    DegradationLayer,
     DegradationPolicy,
     FlashCrowdProfile,
     MmppProfile,
@@ -21,11 +22,11 @@ from repro.overload import (
     OverloadSpec,
     PoissonProfile,
     ThinkTimeModel,
-    install_degradation,
 )
 from repro.sim import Simulator
 from repro.sim.rng import RngStreams
 from repro.topology.configs import WS_PHP_DB
+from repro.topology.simulation import SimulatedSite
 from repro.workload.client import ClientPopulation, RetryPolicy
 from repro.workload.markov import choose_interaction
 
@@ -38,6 +39,14 @@ def app():
 @pytest.fixture(scope="module")
 def php_profile(app):
     return profile_application(app, app.deploy_php(), "php", repetitions=2)
+
+
+def _degraded_site(sim, profile, policy):
+    """The PHP core site with only the degradation layer composed."""
+    site = SimulatedSite(sim, WS_PHP_DB, profile)
+    state = DegradationLayer(site, policy)
+    site.compose([state])
+    return site, state
 
 
 def _no_dangling_locks(site) -> bool:
@@ -132,9 +141,7 @@ def test_open_loop_chaos_leaves_system_clean(arrival, think, abandon,
                                              policy, fault):
     fn = test_open_loop_chaos_leaves_system_clean
     sim = Simulator()
-    from repro.topology.simulation import SimulatedSite
-    site = SimulatedSite(sim, WS_PHP_DB, fn.profile)
-    state = install_degradation(site, policy)
+    site, state = _degraded_site(sim, fn.profile, policy)
     spec = OverloadSpec(arrivals=arrival, think=think, session_mean=3.0,
                         abandonment=abandon, max_concurrent_sessions=64)
     population = OpenLoopPopulation(
@@ -162,9 +169,7 @@ def test_open_loop_chaos_leaves_system_clean(arrival, think, abandon,
 def test_closed_loop_with_degradation_leaves_system_clean(policy, fault):
     fn = test_closed_loop_with_degradation_leaves_system_clean
     sim = Simulator()
-    from repro.topology.simulation import SimulatedSite
-    site = SimulatedSite(sim, WS_PHP_DB, fn.profile)
-    state = install_degradation(site, policy)
+    site, state = _degraded_site(sim, fn.profile, policy)
     population = ClientPopulation(
         sim, 5, fn.mix, site, RngStreams(23), choose_interaction,
         retry=RetryPolicy(deadline=2.0, max_retries=1, backoff_base=0.1,

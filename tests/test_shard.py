@@ -31,7 +31,7 @@ from repro.shard.routing import (
 )
 from repro.sim import Simulator
 from repro.sim.rng import RngStreams
-from repro.topology.spec import TopologySpec, topology
+from repro.topology.spec import topology
 from repro.workload.client import ClientPopulation, RetryPolicy
 from repro.workload.markov import choose_interaction
 
@@ -255,33 +255,36 @@ def test_sharded_run_is_deterministic_and_exercises_the_router(app,
 
 
 def test_build_site_dispatches_on_the_shard_count(app, profiles):
-    from repro.cluster.site import ClusteredSite
-    from repro.shard.cached import CachedShardedSite
-    from repro.shard.site import ShardedSite
+    """The shard layer is installed for two or more shards only, inside
+    the cache layer (which then supplies its entity draws)."""
     from repro.topology.simulation import SimulatedSite
 
-    sharded = topology("Ws-Servlet-DB", db_shards=2)
-    assert type(build_site(Simulator(), _spec(sharded, profiles, app))) \
-        is ShardedSite
-    both = topology("Ws-Servlet-DB", db_shards=2, cache_nodes=1,
-                    cache_mb=8.0)
-    assert type(build_site(Simulator(), _spec(both, profiles, app))) \
-        is CachedShardedSite
-    cluster = topology("Ws-Servlet-DB", db_replicas=1)
-    assert type(build_site(Simulator(), _spec(cluster, profiles, app))) \
-        is ClusteredSite
-    paper = topology("Ws-Servlet-DB", TopologySpec())
-    assert type(build_site(Simulator(), _spec(paper, profiles, app))) \
-        is SimulatedSite
+    for kwargs, axes in (
+            (dict(db_shards=2), ["cluster", "shard"]),
+            (dict(db_shards=2, cache_nodes=1, cache_mb=8.0),
+             ["cluster", "shard", "cache"]),
+            (dict(db_replicas=1), ["cluster"]),
+            (dict(), [])):
+        config = topology("Ws-Servlet-DB", **kwargs)
+        site = build_site(Simulator(), _spec(config, profiles, app))
+        assert type(site) is SimulatedSite
+        assert [layer.axis for layer in site.layers] == axes, config.name
+        shard = site.layer("shard")
+        if shard is not None:
+            assert shard.cache is site.layer("cache")
 
 
 def test_sharded_site_refuses_single_shard_configs(app, profiles):
-    from repro.shard.site import ShardedSite
+    from repro.cluster.layer import ClusterLayer
+    from repro.shard.layer import ShardLayer
+    from repro.topology.simulation import SimulatedSite
 
     config = topology("Ws-Servlet-DB", db_replicas=1)
+    site = SimulatedSite(Simulator(), config,
+                         profiles[config.profile_flavor])
+    cluster = ClusterLayer(site, RngStreams(42))
     with pytest.raises(ValueError, match="single shard"):
-        ShardedSite(Simulator(), config,
-                    profiles[config.profile_flavor])
+        ShardLayer(site, cluster, RngStreams(42))
 
 
 def test_db1_runs_never_import_the_shard_package():
@@ -334,9 +337,8 @@ def test_any_shard_member_crash_leaves_no_undecided_transactions(
     plan = FaultPlan((FaultEvent(kind="crash", tier=victim, at=at,
                                  duration=duration),))
     sim = Simulator()
-    from repro.shard.site import ShardedSite
-    site = ShardedSite(sim, config, profiles[config.profile_flavor],
-                       rng=RngStreams(7))
+    site = build_site(sim, _spec(config, profiles, app, seed=7))
+    shard = site.layer("shard")
     population = ClientPopulation(
         sim, 8, app.mix("ordering"), site, RngStreams(7),
         choose_interaction, retry=RetryPolicy(deadline=5.0, max_retries=2))
@@ -345,11 +347,11 @@ def test_any_shard_member_crash_leaves_no_undecided_transactions(
     sim.run(until=90.0)
     population.stop()
     sim.run()
-    assert site.twopc.in_flight == {}, "prepared-but-undecided txn"
+    assert shard.twopc.in_flight == {}, "prepared-but-undecided txn"
     assert all(p.finished for p in population._procs), "stuck client"
     assert not site.inflight_processes(), "stuck in-flight interaction"
     registries = [site._table_locks]
-    for repl in site._shard_repls[1:]:
+    for repl in shard.shard_repls[1:]:
         registries.append(repl.primary.table_locks)
         registries.extend(r.table_locks for r in repl.replicas)
     for registry in registries:

@@ -185,15 +185,12 @@ def test_validate_config_names_paper_only_rejects_topologies():
     assert errors and "unknown configuration" in errors[0]
 
 
-# -- legacy aliases (repro.cluster) --------------------------------------------
+# -- legacy cluster-axis spellings --------------------------------------------
 
 
 def test_cluster_aliases_are_the_same_objects():
-    from repro.cluster import ClusterSpec, clustered, parse_cluster_name
-    from repro.cluster.spec import ClusterConfiguration
+    from repro.topology.spec import clustered, parse_cluster_name
 
-    assert ClusterSpec is TopologySpec
-    assert ClusterConfiguration is TopologyConfiguration
     config = clustered("Ws-Servlet-DB", web=2)
     assert isinstance(config, TopologyConfiguration)
     assert config.name == "Ws{2}-Servlet-DB(1+0)"    # legacy spelling
@@ -202,7 +199,7 @@ def test_cluster_aliases_are_the_same_objects():
 
 
 def test_parse_cluster_name_still_requires_the_replica_suffix():
-    from repro.cluster import parse_cluster_name
+    from repro.topology.spec import parse_cluster_name
     with pytest.raises(KeyError, match="not a cluster configuration"):
         parse_cluster_name("Ws-Servlet-DB")
     # ... while parse_topology happily takes suffix-less names.
